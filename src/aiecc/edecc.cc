@@ -200,11 +200,16 @@ EDeccAmd::decode(const Burst &burst, uint32_t mtbAddr) const
         }
     }
 
-    Burst corrected = burst;
-    for (unsigned chip = 0; chip < dataChips; ++chip)
-        corrected.setAmdChipSymbols(chip, &received[chip * numWords]);
-    res.status = anyCorrected ? EccStatus::Corrected : EccStatus::Clean;
-    res.data = corrected.data();
+    if (!anyCorrected) {
+        // Every lane was clean: the payload is the burst's own data.
+        res.data = burst.data();
+    } else {
+        Burst corrected = burst;
+        for (unsigned chip = 0; chip < dataChips; ++chip)
+            corrected.setAmdChipSymbols(chip, &received[chip * numWords]);
+        res.status = EccStatus::Corrected;
+        res.data = corrected.data();
+    }
     if (res.addressError && addrRecovered)
         res.recoveredAddress = recovered;
     return res;

@@ -7,66 +7,147 @@
 namespace aiecc
 {
 
-RsCodec::RsCodec(unsigned n, unsigned k, unsigned fcr)
-    : nLen(n), kLen(k), fcrBase(fcr)
+namespace
+{
+
+/**
+ * Nibble-split products by eight constants c[0..7]: entry v (v < 16)
+ * packs v * c[j] into byte j and entry 16 + v packs (v << 4) * c[j],
+ * so x * c = row[x & 15] ^ row[16 + (x >> 4)] for all eight at once.
+ */
+using NibbleRow = std::array<uint64_t, 32>;
+using Constants = std::array<GfElem, RsCodec::maxRoots>;
+using ParityCols = std::array<NibbleRow, RsCodec::maxRoots>;
+
+constexpr NibbleRow
+nibbleRow(const Constants &c)
+{
+    NibbleRow row{};
+    for (unsigned v = 0; v < 16; ++v) {
+        for (unsigned j = 0; j < c.size(); ++j) {
+            const auto lo = static_cast<GfElem>(v);
+            const auto hi = static_cast<GfElem>(v << 4);
+            row[v] |= uint64_t{Gf256::mul(lo, c[j])} << (8 * j);
+            row[16 + v] |= uint64_t{Gf256::mul(hi, c[j])} << (8 * j);
+        }
+    }
+    return row;
+}
+
+/**
+ * Row e holds the contributions alpha^((1+j)e) of a degree-e symbol.
+ * Rows are stored highest degree first (row e at index 254 - e).
+ */
+constexpr std::array<NibbleRow, Gf256::groupOrder>
+buildSyndromeRows()
+{
+    std::array<NibbleRow, Gf256::groupOrder> rows{};
+    for (unsigned e = 0; e < rows.size(); ++e) {
+        Constants c{};
+        for (unsigned j = 0; j < c.size(); ++j)
+            c[j] = Gf256::alphaPow(static_cast<int>((1 + j) * e));
+        rows[Gf256::groupOrder - 1 - e] = nibbleRow(c);
+    }
+    return rows;
+}
+
+/**
+ * Columns of V^-1 for V[j][m] = alpha^((1+j)(nr-1-m)), one set per
+ * nr = 1..maxRoots: p = XOR_j cols[nr-1][j] applied to S_j.  V and
+ * each leading square block of it are column-scaled Vandermonde
+ * matrices over distinct nonzero points, so Gauss-Jordan needs no
+ * pivoting.
+ */
+constexpr std::array<ParityCols, RsCodec::maxRoots>
+buildParityCols()
+{
+    constexpr unsigned maxNr = RsCodec::maxRoots;
+    std::array<ParityCols, maxNr> cols{};
+    for (unsigned nr = 1; nr <= maxNr; ++nr) {
+        GfElem a[maxNr][2 * maxNr] = {};  // [V | I]
+        for (unsigned j = 0; j < nr; ++j) {
+            for (unsigned m = 0; m < nr; ++m)
+                a[j][m] = Gf256::alphaPow(
+                    static_cast<int>((1 + j) * (nr - 1 - m)));
+            a[j][nr + j] = 1;
+        }
+        for (unsigned c = 0; c < nr; ++c) {
+            const GfElem inv = Gf256::alphaPow(
+                -static_cast<int>(Gf256::logTable()[a[c][c]]));
+            for (unsigned x = 0; x < 2 * nr; ++x)
+                a[c][x] = Gf256::mul(a[c][x], inv);
+            for (unsigned r = 0; r < nr; ++r) {
+                const GfElem f = r == c ? 0 : a[r][c];
+                for (unsigned x = 0; x < 2 * nr; ++x)
+                    a[r][x] ^= Gf256::mul(f, a[c][x]);
+            }
+        }
+        for (unsigned j = 0; j < nr; ++j) {
+            Constants vinvCol{};
+            for (unsigned m = 0; m < nr; ++m)
+                vinvCol[m] = a[m][nr + j];
+            cols[nr - 1][j] = nibbleRow(vinvCol);
+        }
+    }
+    return cols;
+}
+
+// One immutable copy shared by every codec: 64 KB of syndrome rows
+// (an RS(n, k) touches only its n rows) and 16 KB of parity columns.
+alignas(64) constexpr auto syndRows = buildSyndromeRows();
+alignas(64) constexpr auto parityCols = buildParityCols();
+
+} // namespace
+
+RsCodec::RsCodec(unsigned n, unsigned k)
+    : nLen(n), kLen(k),
+      syndMask(n - k >= maxRoots ? ~uint64_t{0}
+                                 : (uint64_t{1} << (8 * (n - k))) - 1)
 {
     AIECC_ASSERT(k < n && n <= Gf256::groupOrder,
                  "invalid RS parameters n=" << n << " k=" << k);
-    const unsigned nr = nroots();
+    AIECC_ASSERT(nroots() <= maxRoots,
+                 "RS codec supports at most " << maxRoots << " roots");
+}
 
-    // Generator g(x) = prod (x - alpha^(fcr+i)), low-degree-first.
-    const Gf256Poly gen = Gf256Poly::rsGenerator(nr, fcr);
-    genCoef.assign(nr + 1, 0);
-    for (unsigned j = 0; j <= nr; ++j)
-        genCoef[j] = gen[j];
-    AIECC_ASSERT(genCoef[nr] == 1, "RS generator is not monic");
-
-    // LFSR rows: encTab[fb * nr + m] = fb * genCoef[nr - 1 - m].  One
-    // division step shifts the parity register up and subtracts the
-    // feedback-scaled generator; laying the row out in register order
-    // makes the shift update a contiguous walk.
-    encTab.assign(256u * nr, 0);
-    for (unsigned fb = 1; fb < 256; ++fb) {
-        for (unsigned m = 0; m < nr; ++m) {
-            encTab[fb * nr + m] = Gf256::mul(static_cast<GfElem>(fb),
-                                             genCoef[nr - 1 - m]);
+uint64_t
+RsCodec::packedSyndromes(const GfElem *sym, unsigned count,
+                         unsigned stride) const
+{
+    // Row n-1-i is stored at 254-(n-1-i): positions walk the table
+    // forward, and unrolling turns the row steps into displacements.
+    const uint64_t *row = syndRows[Gf256::groupOrder - nLen].data();
+    uint64_t lo = 0, hi = 0;
+    unsigned i = 0;
+    for (; i + 4 <= count; i += 4, sym += 4 * stride, row += 4 * 32) {
+#pragma GCC unroll 4
+        for (unsigned b = 0; b < 4; ++b) {
+            const size_t v = sym[b * stride];
+            lo ^= row[32 * b + (v & 15)];
+            hi ^= row[32 * b + 16 + (v >> 4)];
         }
     }
-
-    // Per-root Horner multipliers: acc -> acc * alpha^(fcr+j).
-    syndTab.assign(nr * 256u, 0);
-    for (unsigned j = 0; j < nr; ++j) {
-        const GfElem x = Gf256::alphaPow(static_cast<int>(fcr + j));
-        for (unsigned a = 0; a < 256; ++a) {
-            syndTab[j * 256 + a] =
-                Gf256::mul(static_cast<GfElem>(a), x);
-        }
+    for (; i < count; ++i, sym += stride, row += 32) {
+        lo ^= row[*sym & 15];
+        hi ^= row[16 + (*sym >> 4)];
     }
+    return (lo ^ hi) & syndMask;
+}
 
-    // Chien probes and erasure locators per codeword position.
-    xinvTab.assign(nLen, 0);
-    xlTab.assign(nLen, 0);
-    for (unsigned pos = 0; pos < nLen; ++pos) {
-        xinvTab[pos] =
-            Gf256::alphaPow(-static_cast<int>(nLen - 1 - pos));
-        xlTab[pos] = Gf256::alphaPow(static_cast<int>(nLen - 1 - pos));
-    }
+uint64_t
+RsCodec::packedParity(uint64_t s) const
+{
+    const ParityCols &cols = parityCols[nroots() - 1];
+    uint64_t p = 0;
+    for (unsigned j = 0; j < nroots(); ++j, s >>= 8)
+        p ^= cols[j][s & 15] ^ cols[j][16 + ((s >> 4) & 15)];
+    return p;
 }
 
 void
 RsCodec::parityInto(const GfElem *message, GfElem *parity) const
 {
-    const unsigned nr = nroots();
-    GfElem par[256];
-    std::fill(par, par + nr, 0);
-    for (unsigned i = 0; i < kLen; ++i) {
-        const GfElem fb = static_cast<GfElem>(message[i] ^ par[0]);
-        const GfElem *row = &encTab[static_cast<size_t>(fb) * nr];
-        for (unsigned m = 0; m + 1 < nr; ++m)
-            par[m] = static_cast<GfElem>(par[m + 1] ^ row[m]);
-        par[nr - 1] = row[nr - 1];
-    }
-    std::copy(par, par + nr, parity);
+    parityBatch(message, parity, 1);
 }
 
 void
@@ -77,26 +158,9 @@ RsCodec::encodeInto(const GfElem *message, GfElem *codeword) const
 }
 
 bool
-RsCodec::syndromesInto(const GfElem *received, GfElem *synd) const
-{
-    const unsigned nr = nroots();
-    GfElem any = 0;
-    for (unsigned j = 0; j < nr; ++j) {
-        const GfElem *tab = &syndTab[static_cast<size_t>(j) * 256];
-        GfElem acc = 0;
-        for (unsigned i = 0; i < nLen; ++i)
-            acc = static_cast<GfElem>(tab[acc] ^ received[i]);
-        synd[j] = acc;
-        any = static_cast<GfElem>(any | acc);
-    }
-    return any == 0;
-}
-
-bool
 RsCodec::isCodewordRaw(const GfElem *word) const
 {
-    GfElem synd[256];
-    return syndromesInto(word, synd);
+    return packedSyndromes(word, nLen, 1) == 0;
 }
 
 RsCodec::Status
@@ -108,21 +172,20 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     numPositions = 0;
 
     const unsigned nr = nroots();
-    if (syndromesInto(received, ws.synd.data()))
+    const uint64_t packed = packedSyndromes(received, nLen, 1);
+    if (packed == 0)
         return Status::Ok;
 
     if (numErasures > nr)
         return Status::Uncorrectable;
 
+    const auto gmul = [](GfElem a, GfElem b) { return Gf256::mul(a, b); };
+    // Position pos has degree n-1-pos: locator X = alpha^(n-1-pos).
     const GfElem *exp = Gf256::expTable();
-    const uint16_t *lg = Gf256::logTable();
-    const auto gmul = [exp, lg](GfElem a, GfElem b) -> GfElem {
-        return (a && b)
-                   ? exp[static_cast<unsigned>(lg[a]) + lg[b]]
-                   : 0;
-    };
 
     GfElem *synd = ws.synd.data();
+    for (unsigned j = 0; j < nr; ++j)
+        synd[j] = static_cast<GfElem>(packed >> (8 * j));
     GfElem *lambda = ws.lambda.data();
 
     // Erasure locator Gamma(x) = prod (1 + X_l x), X_l = alpha^(n-1-pos).
@@ -131,7 +194,7 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     for (unsigned e = 0; e < numErasures; ++e) {
         const unsigned pos = erasures[e];
         AIECC_ASSERT(pos < nLen, "RS decode: erasure out of range");
-        const GfElem xl = xlTab[pos];
+        const GfElem xl = exp[nLen - 1 - pos];
         for (unsigned i = nr; i >= 1; --i)
             lambda[i] =
                 static_cast<GfElem>(lambda[i] ^ gmul(lambda[i - 1], xl));
@@ -175,26 +238,19 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         }
     }
 
-    // Degree of Lambda.
-    int degLambda = -1;
-    for (int i = static_cast<int>(nr); i >= 0; --i) {
-        if (lambda[static_cast<unsigned>(i)] != 0) {
-            degLambda = i;
-            break;
-        }
-    }
-    if (degLambda <= 0) {
-        // Nonzero syndromes but no locatable error.
+    // Degree of Lambda; nonzero syndromes but no locatable error fail.
+    unsigned deg = nr;
+    while (deg > 0 && lambda[deg] == 0)
+        --deg;
+    if (deg == 0)
         return Status::Uncorrectable;
-    }
-    const unsigned deg = static_cast<unsigned>(degLambda);
 
     // Chien search over the n valid positions of the shortened code,
     // evaluating Lambda on the raw workspace buffer (no per-position
     // polynomial copies).
     unsigned found = 0;
     for (unsigned pos = 0; pos < nLen; ++pos) {
-        const GfElem xinv = xinvTab[pos];
+        const GfElem xinv = exp[Gf256::groupOrder - (nLen - 1 - pos)];
         GfElem acc = lambda[deg];
         for (int j = static_cast<int>(deg) - 1; j >= 0; --j)
             acc = static_cast<GfElem>(
@@ -221,7 +277,7 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         omega[i] = acc;
     }
 
-    // Forney: e = X^(1-fcr) * Omega(X^-1) / Lambda'(X^-1), applying
+    // Forney (fcr = 1): e = Omega(X^-1) / Lambda'(X^-1), applying
     // corrections in place and saving overwritten symbols so a failed
     // screen can restore the received word exactly.
     unsigned applied = 0;
@@ -248,10 +304,6 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         for (int j = static_cast<int>(nr) - 2; j >= 0; --j)
             num = static_cast<GfElem>(
                 gmul(num, xinv) ^ omega[static_cast<unsigned>(j)]);
-        if (fcrBase != 1) {
-            // Multiply by X^(1 - fcr) = (X^-1)^(fcr - 1).
-            num = gmul(num, Gf256::pow(xinv, fcrBase - 1));
-        }
         const GfElem magnitude = Gf256::div(num, den);
         const unsigned pos = ws.chien[idx];
         ws.saved[applied] = received[pos];
@@ -264,12 +316,9 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     // Sanity: the corrected word must be a codeword.  When the error
     // pattern exceeds the design distance the BM/Chien pipeline can
     // produce an inconsistent "correction"; screen it out.
-    {
-        GfElem check[256];
-        if (!syndromesInto(received, check)) {
-            rollback();
-            return Status::Uncorrectable;
-        }
+    if (!isCodewordRaw(received)) {
+        rollback();
+        return Status::Uncorrectable;
     }
 
     return Status::Corrected;
@@ -281,25 +330,13 @@ RsCodec::parityBatch(const GfElem *messages, GfElem *parities,
 {
     AIECC_ASSERT(lanes >= 1 && lanes <= maxLanes,
                  "RS parityBatch: bad lane count " << lanes);
-    const unsigned nr = nroots();
-    std::array<GfElem, 256 * maxLanes> par;
-    std::fill(par.begin(), par.begin() + nr * lanes, 0);
-    const GfElem *rows[maxLanes] = {};
-    for (unsigned i = 0; i < kLen; ++i) {
-        const GfElem *msg = messages + static_cast<size_t>(i) * lanes;
-        for (unsigned c = 0; c < lanes; ++c) {
-            const GfElem fb = static_cast<GfElem>(msg[c] ^ par[c]);
-            rows[c] = &encTab[static_cast<size_t>(fb) * nr];
-        }
-        for (unsigned m = 0; m + 1 < nr; ++m) {
-            for (unsigned c = 0; c < lanes; ++c)
-                par[m * lanes + c] = static_cast<GfElem>(
-                    par[(m + 1) * lanes + c] ^ rows[c][m]);
-        }
-        for (unsigned c = 0; c < lanes; ++c)
-            par[(nr - 1) * lanes + c] = rows[c][nr - 1];
+    // The parity positions contribute nothing to S(m || 0).
+    for (unsigned c = 0; c < lanes; ++c) {
+        const uint64_t p =
+            packedParity(packedSyndromes(messages + c, kLen, lanes));
+        for (unsigned m = 0; m < nroots(); ++m)
+            parities[m * lanes + c] = static_cast<GfElem>(p >> (8 * m));
     }
-    std::copy(par.begin(), par.begin() + nr * lanes, parities);
 }
 
 void
@@ -308,39 +345,17 @@ RsCodec::decodeBatch(GfElem *received, unsigned lanes,
 {
     AIECC_ASSERT(lanes >= 1 && lanes <= maxLanes,
                  "RS decodeBatch: bad lane count " << lanes);
-    AIECC_ASSERT(nroots() <= 8,
-                 "RS decodeBatch: LaneResult holds at most 8 positions");
-    const unsigned nr = nroots();
-
-    // One interleaved sweep computes every lane's syndromes; lanes
-    // whose syndromes are all zero are finished.
-    GfElem dirty[maxLanes] = {};
-    for (unsigned j = 0; j < nr; ++j) {
-        const GfElem *tab = &syndTab[static_cast<size_t>(j) * 256];
-        GfElem acc[maxLanes] = {};
-        const GfElem *sym = received;
-        for (unsigned i = 0; i < nLen; ++i, sym += lanes) {
-            for (unsigned c = 0; c < lanes; ++c)
-                acc[c] = static_cast<GfElem>(tab[acc[c]] ^ sym[c]);
-        }
-        for (unsigned c = 0; c < lanes; ++c)
-            dirty[c] = static_cast<GfElem>(dirty[c] | acc[c]);
-    }
-
     for (unsigned c = 0; c < lanes; ++c) {
         LaneResult &out = results[c];
-        out.status = Status::Ok;
-        out.numPositions = 0;
-        if (!dirty[c])
+        out = LaneResult{};
+        if (packedSyndromes(received + c, nLen, lanes) == 0)
             continue;
-        // De-interleave the dirty lane, run the scalar decoder, and
-        // scatter any corrections back.
+        // Decode a dirty lane alone and scatter any corrections back.
         GfElem *lane = ws.lane.data();
         for (unsigned i = 0; i < nLen; ++i)
             lane[i] = received[static_cast<size_t>(i) * lanes + c];
         unsigned npos = 0;
-        out.status =
-            decodeInto(lane, ws, out.positions.data(), npos);
+        out.status = decodeInto(lane, ws, out.positions.data(), npos);
         out.numPositions = static_cast<uint8_t>(npos);
         if (out.status == Status::Corrected) {
             for (unsigned i = 0; i < nLen; ++i)
@@ -354,11 +369,9 @@ RsCodec::decodeBatch(GfElem *received, unsigned lanes,
 std::vector<GfElem>
 RsCodec::encode(const std::vector<GfElem> &message) const
 {
-    AIECC_ASSERT(message.size() == kLen,
-                 "RS encode: message size " << message.size()
-                                            << " != k " << kLen);
-    std::vector<GfElem> cw(nLen);
-    encodeInto(message.data(), cw.data());
+    std::vector<GfElem> cw = message;
+    const std::vector<GfElem> par = parity(message);
+    cw.insert(cw.end(), par.begin(), par.end());
     return cw;
 }
 

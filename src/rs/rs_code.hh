@@ -9,11 +9,17 @@
  * RS(76,68) by appending virtual address symbols (Section IV-A of the
  * AIECC paper).
  *
- * The hot path is allocation-free: callers hand the codec raw symbol
- * buffers plus a reusable RsWorkspace, and the codec runs against
- * tables precomputed at construction (per-root Horner multipliers for
- * syndromes, generator-scaled LFSR rows for parity).  The std::vector
- * API remains as a thin wrapper for tests and cold callers.
+ * The hot path is allocation-free (callers pass raw symbol buffers and
+ * a reusable RsWorkspace) and every codec shares one compile-time
+ * table.  Its row e (0..254) holds 32 uint64_t entries, 16 for a
+ * symbol's low nibble v and 16 for its high nibble v << 4, each packing
+ * v * alpha^((1+j)e) for j = 0..7 into byte j.  Position i of RS(n, k)
+ * reads row n-1-i, so a word's syndromes are the XOR of two independent
+ * loads per symbol, masked down to nroots() bytes.  Parity comes from
+ * the message syndromes: p = V^-1 S(m || 0) with V[j][m] =
+ * alpha^((1+j)(nr-1-m)), whose inverse columns are compile-time nibble
+ * tables per nr.  Hence nroots() <= 8 and the first consecutive root is
+ * alpha^1 (fcr = 1).
  */
 
 #ifndef AIECC_RS_RS_CODE_HH
@@ -25,7 +31,6 @@
 #include <vector>
 
 #include "gf/gf256.hh"
-#include "gf/poly.hh"
 
 namespace aiecc
 {
@@ -69,6 +74,9 @@ struct RsWorkspace
 class RsCodec
 {
   public:
+    /** Most parity symbols a codec may have (one byte per root). */
+    static constexpr unsigned maxRoots = 8;
+
     /** Outcome of a decode attempt. */
     enum class Status
     {
@@ -95,20 +103,20 @@ class RsCodec
         Status status = Status::Ok;
         uint8_t numPositions = 0;
         /** Corrected positions, ascending; at most nroots() entries. */
-        std::array<uint8_t, 8> positions{};
+        std::array<uint8_t, maxRoots> positions{};
     };
 
     /** Widest batch the interleaved entry points accept. */
     static constexpr unsigned maxLanes = 4;
 
     /**
-     * Build an RS(n, k) codec.
+     * Build an RS(n, k) codec whose generator has roots
+     * alpha^1 .. alpha^(n-k).
      *
      * @param n Codeword length in symbols, k < n <= 255.
-     * @param k Message length in symbols.
-     * @param fcr First consecutive root of the generator (default 1).
+     * @param k Message length in symbols, n - k <= maxRoots.
      */
-    RsCodec(unsigned n, unsigned k, unsigned fcr = 1);
+    RsCodec(unsigned n, unsigned k);
 
     unsigned n() const { return nLen; }
     unsigned k() const { return kLen; }
@@ -121,7 +129,7 @@ class RsCodec
 
     /**
      * Compute the n-k parity symbols of @p message (k symbols) into
-     * @p parity via the table-driven LFSR; no heap traffic.
+     * @p parity from the message syndromes; no heap traffic.
      */
     void parityInto(const GfElem *message, GfElem *parity) const;
 
@@ -166,9 +174,9 @@ class RsCodec
     /**
      * Decode @p lanes interleaved received words in place.
      *
-     * Syndromes for every lane are computed in one interleaved sweep;
-     * clean lanes finish there, dirty lanes fall back to the scalar
-     * decoder.  Per-lane status/positions land in @p results.
+     * Each lane's syndromes come from the shared table; clean lanes
+     * finish there, dirty lanes fall back to the scalar decoder.
+     * Per-lane status/positions land in @p results.
      */
     void decodeBatch(GfElem *received, unsigned lanes,
                      LaneResult *results, RsWorkspace &ws) const;
@@ -203,36 +211,14 @@ class RsCodec
   private:
     unsigned nLen;
     unsigned kLen;
-    unsigned fcrBase;
+    uint64_t syndMask;  ///< keeps the nroots() low syndrome bytes
 
-    /**
-     * Generator coefficients, low-degree-first; genCoef[nroots] == 1.
-     * Kept for the encode-table builder and for reference.
-     */
-    std::vector<GfElem> genCoef;
+    /** Packed syndromes (byte j = S_j) of positions 0..count-1. */
+    uint64_t packedSyndromes(const GfElem *sym, unsigned count,
+                             unsigned stride) const;
 
-    /**
-     * LFSR rows: encTab[fb * nroots + m] = fb * genCoef[nroots-1-m],
-     * one 256-entry row per feedback symbol, laid out so the shift
-     * update walks a contiguous row.
-     */
-    std::vector<GfElem> encTab;
-
-    /**
-     * Per-root Horner multipliers: syndTab[j * 256 + a] =
-     * a * alpha^(fcr+j), turning each syndrome step into one table
-     * load and one XOR.
-     */
-    std::vector<GfElem> syndTab;
-
-    /** xinvTab[pos] = alpha^-(n-1-pos), the Chien probe per position. */
-    std::vector<GfElem> xinvTab;
-
-    /** xlTab[pos] = alpha^(n-1-pos), the erasure locator per position. */
-    std::vector<GfElem> xlTab;
-
-    /** Syndromes into ws.synd; true if all zero. */
-    bool syndromesInto(const GfElem *received, GfElem *synd) const;
+    /** Packed parity (byte m = p_m) of a message with syndromes @p s. */
+    uint64_t packedParity(uint64_t s) const;
 };
 
 } // namespace aiecc

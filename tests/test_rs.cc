@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hh"
+#include "gf/poly.hh"
 #include "rs/rs_code.hh"
 
 namespace aiecc
@@ -22,6 +25,47 @@ randomMessage(Rng &rng, unsigned k)
     for (auto &s : m)
         s = static_cast<GfElem>(rng.below(256));
     return m;
+}
+
+// ---------------------------------------------------------------------
+// Table-free reference: LFSR long division by the generator for parity
+// and per-root Horner evaluation for syndromes, built only on
+// Gf256::mul and Gf256Poly::rsGenerator.  The codec's shared nibble
+// tables are checked against these.
+// ---------------------------------------------------------------------
+
+std::vector<GfElem>
+refParity(const std::vector<GfElem> &message, unsigned nroots)
+{
+    // g(x) = prod (x - alpha^(1+j)), low-degree-first and monic.
+    const Gf256Poly g = Gf256Poly::rsGenerator(nroots, 1);
+    std::vector<GfElem> reg(nroots, 0);  // reg[0]: highest degree
+    for (GfElem m : message) {
+        const GfElem fb = static_cast<GfElem>(m ^ reg[0]);
+        for (unsigned j = 0; j + 1 < nroots; ++j)
+            reg[j] = static_cast<GfElem>(
+                reg[j + 1] ^ Gf256::mul(fb, g[nroots - 1 - j]));
+        reg[nroots - 1] = Gf256::mul(fb, g[0]);
+    }
+    return reg;
+}
+
+std::vector<GfElem>
+refSyndromes(const std::vector<GfElem> &word, unsigned nroots)
+{
+    std::vector<GfElem> synd(nroots, 0);
+    for (unsigned j = 0; j < nroots; ++j) {
+        const GfElem root = Gf256::alphaPow(static_cast<int>(1 + j));
+        for (GfElem r : word)
+            synd[j] = static_cast<GfElem>(Gf256::mul(synd[j], root) ^ r);
+    }
+    return synd;
+}
+
+bool
+allZero(const std::vector<GfElem> &v)
+{
+    return std::all_of(v.begin(), v.end(), [](GfElem x) { return !x; });
 }
 
 TEST(RsCodec, EncodeProducesCodeword)
@@ -175,6 +219,94 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, unsigned>{76, 68},   // QPC eDECC
                       std::pair<unsigned, unsigned>{255, 247}));
 
+TEST_P(RsGeometry, MatchesTableFreeReference)
+{
+    // Parity, codeword membership, and decode against the reference
+    // over clean, correctable, and beyond-design-distance words.
+    const auto [n, k] = GetParam();
+    RsCodec rs(n, k);
+    const unsigned nr = rs.nroots();
+    Rng rng(54 + n);
+    RsWorkspace ws;
+    const unsigned lanes = RsCodec::maxLanes;
+    for (int rep = 0; rep < 100; ++rep) {
+        std::vector<std::vector<GfElem>> cw(lanes), rx(lanes);
+        std::vector<GfElem> messages(k * lanes), interleaved(n * lanes);
+        for (unsigned c = 0; c < lanes; ++c) {
+            const auto m = randomMessage(rng, k);
+            const auto par = refParity(m, nr);
+            cw[c] = m;
+            cw[c].insert(cw[c].end(), par.begin(), par.end());
+            ASSERT_TRUE(allZero(refSyndromes(cw[c], nr)));
+
+            std::vector<GfElem> got(nr), word(n);
+            rs.parityInto(m.data(), got.data());
+            EXPECT_EQ(got, par) << "n=" << n << " rep=" << rep;
+            rs.encodeInto(m.data(), word.data());
+            EXPECT_EQ(word, cw[c]);
+
+            rx[c] = cw[c];
+            const unsigned hits =
+                static_cast<unsigned>(rng.below(nr + 3));
+            for (unsigned p : rng.sample(n, std::min(hits, n)))
+                rx[c][p] ^= static_cast<GfElem>(rng.range(1, 255));
+            for (unsigned i = 0; i < k; ++i)
+                messages[i * lanes + c] = m[i];
+            for (unsigned i = 0; i < n; ++i)
+                interleaved[i * lanes + c] = rx[c][i];
+        }
+
+        std::vector<GfElem> parities(nr * lanes);
+        rs.parityBatch(messages.data(), parities.data(), lanes);
+        RsCodec::LaneResult lanesOut[RsCodec::maxLanes];
+        rs.decodeBatch(interleaved.data(), lanes, lanesOut, ws);
+
+        for (unsigned c = 0; c < lanes; ++c) {
+            for (unsigned j = 0; j < nr; ++j)
+                EXPECT_EQ(parities[j * lanes + c], cw[c][k + j]);
+
+            const auto synd = refSyndromes(rx[c], nr);
+            const bool clean = allZero(synd);
+            EXPECT_EQ(rs.isCodewordRaw(rx[c].data()), clean);
+
+            std::vector<GfElem> buf = rx[c];
+            uint8_t positions[RsCodec::maxRoots];
+            unsigned numPositions = 0;
+            const auto status =
+                rs.decodeInto(buf.data(), ws, positions, numPositions);
+            if (clean) {
+                ASSERT_EQ(status, RsCodec::Status::Ok);
+            } else {
+                // The decoder's syndromes are the reference ones.
+                ASSERT_NE(status, RsCodec::Status::Ok);
+                for (unsigned j = 0; j < nr; ++j)
+                    EXPECT_EQ(ws.synd[j], synd[j]) << "S_" << j;
+            }
+            if (status == RsCodec::Status::Corrected) {
+                EXPECT_TRUE(allZero(refSyndromes(buf, nr)));
+                unsigned changed = 0;
+                for (unsigned i = 0; i < n; ++i)
+                    changed += buf[i] != rx[c][i];
+                EXPECT_EQ(changed, numPositions);
+                for (unsigned i = 0; i < numPositions; ++i)
+                    EXPECT_NE(buf[positions[i]], rx[c][positions[i]]);
+            } else {
+                EXPECT_EQ(buf, rx[c]);
+            }
+            unsigned errors = 0;
+            for (unsigned i = 0; i < n; ++i)
+                errors += rx[c][i] != cw[c][i];
+            if (2 * errors <= nr) {
+                EXPECT_EQ(buf, cw[c]) << "within design distance";
+            }
+
+            EXPECT_EQ(lanesOut[c].status, status) << "lane " << c;
+            for (unsigned i = 0; i < n; ++i)
+                EXPECT_EQ(interleaved[i * lanes + c], buf[i]);
+        }
+    }
+}
+
 TEST(RsCodec, ShorteningConsistency)
 {
     // A shortened codeword zero-extended to full length must be a
@@ -240,10 +372,12 @@ TEST(RsCodec, ReportsCorrectErrorPositions)
 
 // ---------------------------------------------------------------------
 // Known-answer vectors: parity bytes for the fixed message
-// m[i] = (7*i + 3) & 0xFF, cross-checked against an independent
-// GF(2^8)/0x11D long-division implementation.  These pin the codec's
-// conventions (alpha = 2, fcr = 1, message-first layout, position 0 =
-// highest-degree coefficient) against silent drift.
+// m[i] = (7*i + 3) & 0xFF, and the syndromes S_0..S_(nr-1) of the word
+// m || 0 (the message with zeroed parity), cross-checked against an
+// independent GF(2^8)/0x11D long-division and Horner implementation.
+// These pin the codec's conventions (alpha = 2, fcr = 1, message-first
+// layout, position 0 = highest-degree coefficient) against silent
+// drift.
 // ---------------------------------------------------------------------
 
 struct KatVector
@@ -251,13 +385,18 @@ struct KatVector
     unsigned n;
     unsigned k;
     std::vector<GfElem> parity;
+    std::vector<GfElem> syndromes;  ///< of m || 0
 };
 
 const KatVector katVectors[] = {
-    {18, 16, {0x8B, 0xFA}},                                  // AMD
-    {19, 17, {0xD0, 0x93}},                                  // AMD eDECC
-    {72, 64, {0x14, 0x63, 0x1F, 0x5A, 0x65, 0xAE, 0x55, 0x8E}},
-    {76, 68, {0xAB, 0xB9, 0x0B, 0xBA, 0xB2, 0x5A, 0xD3, 0x6A}},
+    {18, 16, {0x8B, 0xFA}, {0xF1, 0xEC}},                    // AMD
+    {19, 17, {0xD0, 0x93}, {0x2E, 0xF4}},                    // AMD eDECC
+    {72, 64, {0x14, 0x63, 0x1F, 0x5A, 0x65, 0xAE, 0x55, 0x8E},
+     {0x90, 0xDA, 0x8D, 0x0B, 0xED, 0x99, 0xC4, 0x49}},      // QPC
+    {76, 68, {0xAB, 0xB9, 0x0B, 0xBA, 0xB2, 0x5A, 0xD3, 0x6A},
+     {0x19, 0x11, 0x0D, 0x24, 0x61, 0x3B, 0x74, 0xC1}},      // QPC eDECC
+    {255, 247, {0x65, 0x49, 0x91, 0x27, 0xB8, 0xF6, 0xD1, 0xBA},
+     {0x89, 0x7F, 0x14, 0xFB, 0xE4, 0xE3, 0x3F, 0x6C}},      // full length
 };
 
 std::vector<GfElem>
@@ -283,13 +422,33 @@ TEST(RsCodecKat, ParityKnownAnswers)
         for (unsigned j = 0; j < rs.nroots(); ++j)
             EXPECT_EQ(parity[j], kat.parity[j]);
 
-        GfElem codeword[76];
+        GfElem codeword[255];
         rs.encodeInto(m.data(), codeword);
         for (unsigned i = 0; i < kat.k; ++i)
             EXPECT_EQ(codeword[i], m[i]);
         for (unsigned j = 0; j < rs.nroots(); ++j)
             EXPECT_EQ(codeword[kat.k + j], kat.parity[j]);
         EXPECT_TRUE(rs.isCodewordRaw(codeword));
+    }
+}
+
+TEST(RsCodecKat, SyndromeKnownAnswers)
+{
+    // A nonzero-syndrome decode leaves S_j in the workspace.
+    for (const KatVector &kat : katVectors) {
+        RsCodec rs(kat.n, kat.k);
+        std::vector<GfElem> word = katMessage(kat.k);
+        word.resize(kat.n, 0);
+        EXPECT_EQ(refSyndromes(word, rs.nroots()), kat.syndromes)
+            << "reference RS(" << kat.n << "," << kat.k << ")";
+        EXPECT_FALSE(rs.isCodewordRaw(word.data()));
+        RsWorkspace ws;
+        uint8_t positions[RsCodec::maxRoots];
+        unsigned numPositions = 0;
+        rs.decodeInto(word.data(), ws, positions, numPositions);
+        for (unsigned j = 0; j < rs.nroots(); ++j)
+            EXPECT_EQ(ws.synd[j], kat.syndromes[j])
+                << "RS(" << kat.n << "," << kat.k << ") S_" << j;
     }
 }
 
@@ -381,8 +540,6 @@ TEST_P(RsGeometry, DifferentialVectorVsWorkspace)
 TEST_P(RsGeometry, DifferentialVectorVsBatch)
 {
     const auto [n, k] = GetParam();
-    if (n > 128)
-        GTEST_SKIP() << "batch path is sized for the MTB geometries";
     RsCodec rs(n, k);
     Rng rng(53 + n);
     RsWorkspace ws;
