@@ -180,16 +180,21 @@ ProtectionStack::portNow() const
 }
 
 bool
+ProtectionStack::wrtTracked() const
+{
+    return cfg.mech.parity == ParityMode::ECap;
+}
+
+bool
 ProtectionStack::wrtMismatch() const
 {
-    return cfg.mech.parity == ParityMode::ECap &&
-           ctrl->wrtBit() != rankModel->wrtBit();
+    return wrtTracked() && ctrl->wrtBit() != rankModel->wrtBit();
 }
 
 std::optional<ReplayEntry>
-ProtectionStack::newestWrite() const
+ProtectionStack::bufferedWrite(size_t age) const
 {
-    const auto buffered = ctrl->newestWrite();
+    const auto buffered = ctrl->bufferedWrite(age);
     if (!buffered)
         return std::nullopt;
     ReplayEntry entry;

@@ -275,8 +275,9 @@ class ProtectionStack : private RecoveryPort
 
     // ---- RecoveryPort (the engine's view of this stack) ----
     Cycle portNow() const override;
+    bool wrtTracked() const override;
     bool wrtMismatch() const override;
-    std::optional<ReplayEntry> newestWrite() const override;
+    std::optional<ReplayEntry> bufferedWrite(size_t age) const override;
     void resyncWrt() override;
     void drainReadFifo() override;
     void backoff(Cycle cycles) override;

@@ -149,12 +149,15 @@ class MemController
      */
     void setReplayDepth(size_t depth);
 
-    /** Newest buffered write, if any. */
-    std::optional<BufferedWrite> newestWrite() const
+    /**
+     * Buffered write @p age places before the newest one (0 = the
+     * newest), if the replay buffer still holds it.
+     */
+    std::optional<BufferedWrite> bufferedWrite(size_t age) const
     {
-        if (replayBuffer.empty())
+        if (age >= replayBuffer.size())
             return std::nullopt;
-        return replayBuffer.back();
+        return replayBuffer[replayBuffer.size() - 1 - age];
     }
 
     /** Writes currently held for replay. */

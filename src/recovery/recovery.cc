@@ -149,6 +149,28 @@ RecoveryEngine::adviseQuarantine(unsigned flatBank, Cycle now)
                     "predictive mitigation: bank quarantined");
 }
 
+void
+RecoveryEngine::resyncWrt(RecoveryPort &port)
+{
+    port.resyncWrt();
+    ++st.wrtResyncs;
+    if (oc.wrtResyncs)
+        ++*oc.wrtResyncs;
+}
+
+bool
+RecoveryEngine::replay(const ReplayEntry &entry, bool reopen,
+                       RecoveryPort &port)
+{
+    if (reopen &&
+        !port.reopenRow(entry.addr.bg, entry.addr.ba, entry.addr.row))
+        return false;
+    ++st.wrReplays;
+    if (oc.wrReplays)
+        ++*oc.wrReplays;
+    return port.replayWrite(entry);
+}
+
 bool
 RecoveryEngine::resyncIfNeeded(RecoveryPort &port)
 {
@@ -158,27 +180,18 @@ RecoveryEngine::resyncIfNeeded(RecoveryPort &port)
     // flight.  Adopt the device's state, then replay the newest
     // buffered write so the array holds what the consumer believes
     // (the paper's alert handling before command replay, §IV-G).
-    port.resyncWrt();
-    ++st.wrtResyncs;
-    if (oc.wrtResyncs)
-        ++*oc.wrtResyncs;
-    const auto entry = port.newestWrite();
+    resyncWrt(port);
+    const auto entry = port.bufferedWrite(0);
     if (!entry)
         return true; // nothing buffered: toggle adopted, data unknown
-    if (!port.reopenRow(entry->addr.bg, entry->addr.ba, entry->addr.row))
-        return false;
-    ++st.wrReplays;
-    if (oc.wrReplays)
-        ++*oc.wrReplays;
-    if (!port.replayWrite(*entry))
-        return false;
     // A replay lost in flight leaves the toggles apart again.
-    return !port.wrtMismatch();
+    return replay(*entry, true, port) && !port.wrtMismatch();
 }
 
 bool
 RecoveryEngine::tryOnce(RecoveryCause cause, const Command &intended,
                         const std::optional<ReplayEntry> &wrEntry,
+                        const std::optional<ReplayEntry> &lostWrite,
                         unsigned attempt, RecoveryPort &port)
 {
     switch (intended.type) {
@@ -186,29 +199,21 @@ RecoveryEngine::tryOnce(RecoveryCause cause, const Command &intended,
         // The intended WR itself is the write to replay; resync the
         // toggle if needed but skip the pre-step replay (it would
         // duplicate this one).
-        if (port.wrtMismatch()) {
-            port.resyncWrt();
-            ++st.wrtResyncs;
-            if (oc.wrtResyncs)
-                ++*oc.wrtResyncs;
-        }
+        if (port.wrtMismatch())
+            resyncWrt(port);
         if (!wrEntry)
             return false; // no buffered payload: unrecoverable here
-        // A CSTC alert (or a repeated failure) suggests the device's
-        // bank state diverged from the controller's belief: reopen
-        // the row first.  PRE to an idle bank is a JEDEC NOP, so the
-        // preamble is safe whatever the device's real state.
-        const bool reopen = cause == RecoveryCause::Cstc || attempt > 1;
-        if (reopen &&
-            !port.reopenRow(wrEntry->addr.bg, wrEntry->addr.ba,
-                            wrEntry->addr.row))
+        // The lost earlier WR lands first, in its own row.
+        if (lostWrite && !replay(*lostWrite, true, port))
             return false;
-        ++st.wrReplays;
-        if (oc.wrReplays)
-            ++*oc.wrReplays;
-        if (!port.replayWrite(*wrEntry))
-            return false;
-        return !port.wrtMismatch();
+        // A CSTC alert, a repeated failure, or a replay in another row
+        // suggests the device's bank state diverged from the
+        // controller's belief: reopen the row first.  PRE to an idle
+        // bank is a JEDEC NOP, so the preamble is safe whatever the
+        // device's real state.
+        const bool reopen =
+            cause == RecoveryCause::Cstc || attempt > 1 || lostWrite;
+        return replay(*wrEntry, reopen, port) && !port.wrtMismatch();
       }
 
       case CmdType::Act:
@@ -250,6 +255,15 @@ RecoveryEngine::runEpisode(RecoveryCause cause, const Command &intended,
     if (oc.episodes)
         ++*oc.episodes;
 
+    // With eCAP, a CA-parity alert on a WR after which the toggles
+    // agree means the device met that WR one toggle behind: the WR
+    // before it was lost in flight.  (A flip on the alerting edge
+    // itself blocks it on the device only, leaving the toggles apart.)
+    std::optional<ReplayEntry> lostWrite;
+    if (intended.type == CmdType::Wr && cause == RecoveryCause::CaParity &&
+        port.wrtTracked() && !port.wrtMismatch())
+        lostWrite = port.bufferedWrite(1);
+
     for (unsigned attempt = 1; attempt <= cfg.maxAttempts; ++attempt) {
         if (attempt > 1 && cfg.backoffCycles)
             port.backoff(cfg.backoffCycles);
@@ -262,7 +276,7 @@ RecoveryEngine::runEpisode(RecoveryCause cause, const Command &intended,
                           recoveryCauseName(cause), attempt,
                           "replay " + intended.toString());
         }
-        if (tryOnce(cause, intended, wrEntry, attempt, port)) {
+        if (tryOnce(cause, intended, wrEntry, lostWrite, attempt, port)) {
             out.recovered = true;
             break;
         }

@@ -8,8 +8,8 @@
  * implements: WR replay from the controller's bounded write-replay
  * buffer on WCRC/eWCRC alerts, RD reissue on eDECC/parity detections,
  * PRE + row-reopen resynchronization after CSTC protocol alerts, and
- * eCAP write-toggle resync (replaying the newest buffered write) when
- * a WR was lost in flight.  Every attempt is bounded and may honestly
+ * eCAP write-toggle resync (replaying the lost buffered write) when a
+ * WR was lost in flight.  Every attempt is bounded and may honestly
  * fail: a fault that persists across the retry window exhausts the
  * attempt budget and surfaces as a residual DUE.
  *
@@ -109,11 +109,17 @@ class RecoveryPort
     /** Current controller cycle. */
     virtual Cycle portNow() const = 0;
 
+    /** eCAP is on, so the write toggle counts WRs. */
+    virtual bool wrtTracked() const = 0;
+
     /** Controller and device disagree on the eCAP write toggle. */
     virtual bool wrtMismatch() const = 0;
 
-    /** Newest buffered write, if the replay buffer holds one. */
-    virtual std::optional<ReplayEntry> newestWrite() const = 0;
+    /**
+     * Buffered write @p age places before the newest one (0 = the
+     * newest), if the replay buffer still holds it.
+     */
+    virtual std::optional<ReplayEntry> bufferedWrite(size_t age) const = 0;
 
     /** Adopt the device's write-toggle state (§IV-G alert handling). */
     virtual void resyncWrt() = 0;
@@ -279,9 +285,19 @@ class RecoveryEngine
     /** The WRT-resync pre-step shared by every attempt. */
     bool resyncIfNeeded(RecoveryPort &port);
 
-    /** One attempt of the per-cause policy matrix. */
+    /** Adopt the device's write toggle and count the resync. */
+    void resyncWrt(RecoveryPort &port);
+
+    /** Re-send @p entry, reopening its row first when @p reopen. */
+    bool replay(const ReplayEntry &entry, bool reopen, RecoveryPort &port);
+
+    /**
+     * One attempt of the per-cause policy matrix.  @p lostWrite is a
+     * buffered WR the write toggle shows was lost before @p intended.
+     */
     bool tryOnce(RecoveryCause cause, const Command &intended,
                  const std::optional<ReplayEntry> &wrEntry,
+                 const std::optional<ReplayEntry> &lostWrite,
                  unsigned attempt, RecoveryPort &port);
 
     /** Shared episode driver: bounded attempts + escalation. */

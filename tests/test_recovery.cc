@@ -194,6 +194,65 @@ TEST(Recovery, WrtResyncReplaysLostWrite)
 }
 
 // ---------------------------------------------------------------------
+// A lost WR followed directly by another WR: the second WR flips the
+// controller's toggle back into agreement, so the eCAP alert it raises
+// is the only trace of the loss.  The engine must replay the write
+// before the alerting one, not just the alerting one.
+// ---------------------------------------------------------------------
+
+class DroppedWriteBeforeWr : public ::testing::TestWithParam<EccScheme>
+{
+};
+
+TEST_P(DroppedWriteBeforeWr, ReplaysTheLostWrite)
+{
+    StackConfig cfg = aieccConfig();
+    cfg.mech.ecc = GetParam();
+    cfg.scrubOnCorrection = true;
+    ProtectionStack stack(cfg);
+    bool armed = false;
+    stack.setPinCorruptor([&armed](uint64_t, PinWord &pins) {
+        if (armed && decodeCommand(pins).cmd.type == CmdType::Wr) {
+            pins.flip(Pin::CS);
+            armed = false;
+        }
+    });
+    Rng rng(0xD70);
+    const MtbAddress a{0, 0, 0, 5, 7};
+    const MtbAddress b{0, 1, 0, 9, 3};
+    stack.write(b, randomData(rng));
+    stack.write(a, randomData(rng));
+    const BitVec a2 = randomData(rng);
+    armed = true;
+    stack.write(a, a2);  // CS flipped on the WR edge: dropped
+    ASSERT_FALSE(armed);
+    const BitVec b2 = randomData(rng);
+    stack.write(b, b2);  // B's row is still open: WR goes straight out
+
+    const RecoveryStats &stats = stack.recoveryStats();
+    EXPECT_GT(stats.recovered, 0u);
+    EXPECT_EQ(stats.exhausted, 0u);
+    EXPECT_EQ(stack.controller().wrtBit(), stack.rank().wrtBit());
+
+    const ReadOutcome gotA = stack.read(a);
+    EXPECT_TRUE(gotA.due || gotA.data == a2) << "A kept stale data";
+    const ReadOutcome gotB = stack.read(b);
+    EXPECT_TRUE(gotB.due || gotB.data == b2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, DroppedWriteBeforeWr,
+    ::testing::Values(EccScheme::Qpc, EccScheme::EDeccQpc,
+                      EccScheme::EDeccAmd),
+    [](const ::testing::TestParamInfo<EccScheme> &info) {
+        switch (info.param) {
+          case EccScheme::Qpc: return std::string("Qpc");
+          case EccScheme::EDeccQpc: return std::string("EDeccQpc");
+          default: return std::string("EDeccAmd");
+        }
+    });
+
+// ---------------------------------------------------------------------
 // Patrol scrubbing: accumulated transient storage flips are read,
 // corrected, and written back before they can pile up.
 // ---------------------------------------------------------------------
