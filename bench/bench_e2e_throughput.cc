@@ -26,16 +26,15 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "aiecc/cost_model.hh"
 #include "aiecc/stack.hh"
 #include "bench_util.hh"
-#include "common/checkpoint.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/state.hh"
 #include "ddr4/pins.hh"
 #include "dram/rank.hh"
 #include "obs/coverage.hh"
@@ -196,6 +195,19 @@ struct PassResult
     double elapsedNs = 0.0;
     obs::Histogram latency{"ns_per_access"};
     RecoveryStats recovery;
+
+    /** The counters a shard merge sums (state::sumInto). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("reads", self.reads...);
+        v("writes", self.writes...);
+        v("detections", self.detections...);
+        v("dues", self.dues...);
+        v("corrected", self.corrected...);
+        v("recovery", self.recovery...);
+    }
 
     double
     accessesPerSec() const
@@ -563,90 +575,6 @@ runPass(const MixConfig &mix, obs::Observer *observer,
     return out;
 }
 
-/** Fold @p shard's pass output into @p into (shard-order merge). */
-void
-mergePass(PassResult &into, const PassResult &shard)
-{
-    into.reads += shard.reads;
-    into.writes += shard.writes;
-    into.detections += shard.detections;
-    into.dues += shard.dues;
-    into.corrected += shard.corrected;
-    into.elapsedNs += shard.elapsedNs;
-    into.latency.merge(shard.latency);
-    into.recovery.episodes += shard.recovery.episodes;
-    into.recovery.attempts += shard.recovery.attempts;
-    into.recovery.recovered += shard.recovery.recovered;
-    into.recovery.recoveredFirstTry += shard.recovery.recoveredFirstTry;
-    into.recovery.recoveredAfterRetries +=
-        shard.recovery.recoveredAfterRetries;
-    into.recovery.exhausted += shard.recovery.exhausted;
-    into.recovery.wrReplays += shard.recovery.wrReplays;
-    into.recovery.rdReissues += shard.recovery.rdReissues;
-    into.recovery.wrtResyncs += shard.recovery.wrtResyncs;
-    into.recovery.quarantines += shard.recovery.quarantines;
-    into.recovery.rankDegrades += shard.recovery.rankDegrades;
-    into.recovery.patrolReads += shard.recovery.patrolReads;
-    into.recovery.patrolScrubs += shard.recovery.patrolScrubs;
-}
-
-/**
- * Byte-stable text form of a merged PassResult for checkpoint
- * sections: the scalar counters on one line (elapsedNs as whole
- * nanoseconds — sub-ns precision is below clock resolution and the
- * field is timing-only), the latency histogram state on the next.
- */
-std::string
-serializePass(const PassResult &p)
-{
-    std::ostringstream out;
-    out << p.reads << ' ' << p.writes << ' ' << p.detections << ' '
-        << p.dues << ' ' << p.corrected << ' '
-        << static_cast<uint64_t>(p.elapsedNs) << ' '
-        << p.recovery.episodes << ' ' << p.recovery.attempts << ' '
-        << p.recovery.recovered << ' ' << p.recovery.recoveredFirstTry
-        << ' ' << p.recovery.recoveredAfterRetries << ' '
-        << p.recovery.exhausted << ' ' << p.recovery.wrReplays << ' '
-        << p.recovery.rdReissues << ' ' << p.recovery.wrtResyncs << ' '
-        << p.recovery.quarantines << ' ' << p.recovery.rankDegrades
-        << ' ' << p.recovery.patrolReads << ' '
-        << p.recovery.patrolScrubs << '\n'
-        << p.latency.serializeState() << '\n';
-    return out.str();
-}
-
-void
-deserializePass(PassResult &p, const std::string &text)
-{
-    std::istringstream in(text);
-    uint64_t elapsed = 0;
-    in >> p.reads >> p.writes >> p.detections >> p.dues >> p.corrected >>
-        elapsed >> p.recovery.episodes >> p.recovery.attempts >>
-        p.recovery.recovered >> p.recovery.recoveredFirstTry >>
-        p.recovery.recoveredAfterRetries >> p.recovery.exhausted >>
-        p.recovery.wrReplays >> p.recovery.rdReissues >>
-        p.recovery.wrtResyncs >> p.recovery.quarantines >>
-        p.recovery.rankDegrades >> p.recovery.patrolReads >>
-        p.recovery.patrolScrubs;
-    AIECC_ASSERT(static_cast<bool>(in), "pass state: truncated scalars");
-    p.elapsedNs = static_cast<double>(elapsed);
-    std::string histState;
-    std::getline(in, histState); // consume the scalar line's newline
-    std::getline(in, histState);
-    p.latency.deserializeState(histState);
-}
-
-/**
- * Sharded campaign pass: the access budget splits into fixed-size
- * shards, each running its own ProtectionStack over its own RNG
- * stream (Rng::forStream(mix.seed, shard)), executed on @p jobs
- * threads and merged in shard order — so the merged counts are
- * bit-identical for any jobs value.  @p stats / @p profile, when
- * given, receive shard-local registries merged after the join;
- * @p shard0Trace, when given, records shard 0's event stream.
- * elapsedNs of the returned result is the wall clock of the whole
- * parallel region (the number throughput is computed from).
- */
 /** Campaign-mode shard size (accesses per shard); output-affecting. */
 constexpr uint64_t campaignShardSize = 25000;
 
@@ -730,28 +658,17 @@ runOneShard(const MixConfig &mix, uint64_t shard, CampaignSlots &slots,
         runPass(sub, observed ? &shardObs : nullptr, shardLedger);
 }
 
-/** Fold shards [@p b, @p e) into the merge targets, in shard order. */
-void
-mergeShardRange(CampaignSlots &slots, uint64_t b, uint64_t e,
-                PassResult &merged, obs::StatsRegistry *stats,
-                obs::ProfileRegistry *profile, obs::CostAccountant *cost,
-                obs::LineageLedger *ledger, ras::HealthMonitor *rasMon)
-{
-    for (uint64_t shard = b; shard < e; ++shard) {
-        mergePass(merged, slots.parts[shard]);
-        if (stats && slots.stats[shard])
-            stats->merge(*slots.stats[shard]);
-        if (profile && slots.prof[shard])
-            profile->merge(*slots.prof[shard]);
-        if (cost && slots.cost[shard])
-            cost->merge(*slots.cost[shard]);
-        if (ledger && slots.ledgers[shard])
-            ledger->merge(*slots.ledgers[shard]);
-        if (rasMon && slots.rasMon[shard])
-            rasMon->merge(*slots.rasMon[shard]);
-    }
-}
-
+/**
+ * Sharded campaign pass: the access budget splits into fixed-size
+ * shards, each running its own ProtectionStack over its own RNG
+ * stream (Rng::forStream(mix.seed, shard)), executed on @p jobs
+ * threads and merged in shard order — so the merged counts are
+ * bit-identical for any jobs value.  @p stats / @p profile, when
+ * given, receive shard-local registries merged after the join;
+ * @p shard0Trace, when given, records shard 0's event stream.
+ * elapsedNs of the returned result is the wall clock of the whole
+ * parallel region (the number throughput is computed from).
+ */
 PassResult
 runCampaignPass(const MixConfig &mix, unsigned jobs,
                 obs::StatsRegistry *stats, obs::ProfileRegistry *profile,
@@ -779,61 +696,22 @@ runCampaignPass(const MixConfig &mix, unsigned jobs,
             .count());
 
     PassResult merged;
-    mergeShardRange(slots, 0, shards, merged, stats, profile, cost,
-                    ledger, rasMon);
+    for (uint64_t shard = 0; shard < shards; ++shard) {
+        state::sumInto(merged, slots.parts[shard]);
+        merged.latency.merge(slots.parts[shard].latency);
+        if (stats)
+            stats->merge(*slots.stats[shard]);
+        if (profile)
+            profile->merge(*slots.prof[shard]);
+        if (cost)
+            cost->merge(*slots.cost[shard]);
+        if (ledger)
+            ledger->merge(*slots.ledgers[shard]);
+        if (rasMon)
+            rasMon->merge(*slots.rasMon[shard]);
+    }
     merged.elapsedNs = wallNs;
     return merged;
-}
-
-/**
- * The checkpointed campaign pass: same shard bodies and shard-order
- * merge as runCampaignPass(), executed in durable batches through
- * runShardsCheckpointed().  @p merged and the registries carry the
- * committed prefix in (restored by the caller on resume) and receive
- * each batch's merge before @p persist(batchEnd) runs — so what
- * persist() serializes is always exactly the committed prefix.
- * merged.elapsedNs accumulates the wall clock of this session's
- * batches on top of whatever earlier sessions recorded (timing-only;
- * never compared).
- */
-RunStatus
-runCampaignPassCheckpointed(
-    const MixConfig &mix, unsigned jobs, uint64_t batch,
-    uint64_t &nextShard, PassResult &merged, obs::StatsRegistry *stats,
-    obs::ProfileRegistry *profile, obs::TraceSink *shard0Trace,
-    obs::CostAccountant *cost, obs::LineageLedger *ledger,
-    ras::HealthMonitor *rasMon,
-    const std::function<void(uint64_t)> &persist,
-    const std::function<void(uint64_t)> &progress)
-{
-    const uint64_t shards = shardCount(mix.accesses, campaignShardSize);
-    CampaignSlots slots(shards);
-
-    // Accumulated wall clock rides inside merged.elapsedNs between
-    // sessions; keep it out of the merge so mergePass() can keep
-    // summing per-shard times we overwrite below.
-    double wallNs = merged.elapsedNs;
-    auto batchBegin = std::chrono::steady_clock::now();
-    return runShardsCheckpointed(
-        shards, batch, jobs, nextShard,
-        [&](uint64_t shard) {
-            runOneShard(mix, shard, slots, stats != nullptr,
-                        profile != nullptr, shard0Trace, cost,
-                        ledger != nullptr, rasMon != nullptr);
-        },
-        [&](uint64_t b, uint64_t e) {
-            wallNs += static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - batchBegin)
-                    .count());
-            mergeShardRange(slots, b, e, merged, stats, profile, cost,
-                            ledger, rasMon);
-            merged.elapsedNs = wallNs;
-            persist(e);
-            // Exclude persist (checkpoint fsync) time from the wall.
-            batchBegin = std::chrono::steady_clock::now();
-        },
-        progress);
 }
 
 void
@@ -869,9 +747,11 @@ main(int argc, char **argv)
     const bool campaignMode = opt.jobs != 0;
     const uint64_t shards =
         campaignMode ? shardCount(mix.accesses, campaignShardSize) : 0;
-    if (!opt.checkpointPath.empty() && !campaignMode) {
-        std::fprintf(stderr, "--checkpoint requires the sharded "
-                             "campaign; add --jobs N\n");
+    if (!opt.checkpointPath.empty() || opt.resume) {
+        // A throughput run is minutes long, and a resumed one would
+        // join wall clocks across sessions: nothing worth persisting.
+        std::fprintf(stderr, "bench_e2e_throughput does not checkpoint; "
+                             "drop --checkpoint/--resume\n");
         return 2;
     }
     if ((mix.agingSites || mix.mitigate) && campaignMode) {
@@ -968,84 +848,9 @@ main(int argc, char **argv)
     hb.setPayload(
         [&monitor](obs::JsonWriter &w) { monitor.writeHeartbeat(w); });
 
-    // ---- checkpointed campaign (DESIGN.md §12) --------------------
-    // Two units in fixed order: unit 0 = hot pass, unit 1 =
-    // instrumented pass.  Each unit's merged state persists after
-    // every committed batch; unit 0's sections stay in the file while
-    // unit 1 runs, so a resume at any point reloads both.
-    bench::Checkpointer cp(opt, campaignId);
-    unsigned resumeUnit = 0;
-    uint64_t resumeShard = 0;
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
-        if (st.has("pass:0"))
-            deserializePass(hot, st.get("pass:0"));
-        if (st.has("pass:1"))
-            deserializePass(inst, st.get("pass:1"));
-        if (st.has("stats"))
-            stats.deserializeState(st.get("stats"));
-        if (st.has("profile"))
-            profile.deserializeState(st.get("profile"));
-        if (st.has("cost"))
-            cost.deserializeState(st.get("cost"));
-        if (st.has("lineage"))
-            lineage.deserializeState(st.get("lineage"));
-        if (st.has("ras"))
-            monitor.deserializeState(st.get("ras"));
-    }
-    auto persist = [&](unsigned unit, uint64_t nextShard) {
-        if (!cp.enabled())
-            return;
-        CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(unit) + " shard " +
-                             std::to_string(nextShard));
-        st.set("pass:" + std::to_string(unit),
-               serializePass(unit == 0 ? hot : inst));
-        if (unit == 1) {
-            st.set("stats", stats.serializeState());
-            st.set("profile", profile.serializeState());
-            st.set("cost", cost.serialize());
-            st.set("lineage", lineage.serializeState());
-            st.set("ras", monitor.serializeState());
-        }
-        cp.save("unit " + std::to_string(unit + 1) + "/2 (" +
-                (unit == 0 ? "hot" : "instrumented") + " pass) shard " +
-                std::to_string(nextShard));
-    };
-
     // Campaign mode feeds the trace from shard 0 only — one writer,
     // and a stream a sequential shard-0 run would reproduce exactly.
-    if (cp.enabled()) {
-        const uint64_t batch = checkpointBatchShards(opt.jobs);
-        for (unsigned unit = resumeUnit; unit < 2; ++unit) {
-            uint64_t nextShard = (unit == resumeUnit) ? resumeShard : 0;
-            hb.setNote(unit == 0 ? "hot pass" : "instrumented pass");
-            const uint64_t doneBase = unit * shards;
-            const RunStatus status =
-                unit == 0
-                    ? runCampaignPassCheckpointed(
-                          mix, opt.jobs, batch, nextShard, hot, nullptr,
-                          nullptr, nullptr, nullptr, nullptr, nullptr,
-                          [&](uint64_t end) { persist(0, end); },
-                          hbProgressFor(doneBase))
-                    : runCampaignPassCheckpointed(
-                          mix, opt.jobs, batch, nextShard, inst, &stats,
-                          &profile, traceSink.get(), &cost, ledger,
-                          &monitor,
-                          [&](uint64_t end) { persist(1, end); },
-                          hbProgressFor(doneBase));
-            if (status == RunStatus::Interrupted) {
-                const uint64_t done = doneBase + nextShard;
-                hb.finalTick(done, trialsForShards(done));
-                cp.exitInterrupted();
-            }
-        }
-    } else if (campaignMode) {
+    if (campaignMode) {
         hb.setNote("hot pass");
         hot = runCampaignPass(mix, opt.jobs, nullptr, nullptr, nullptr,
                               nullptr, nullptr, nullptr,
@@ -1290,6 +1095,5 @@ main(int argc, char **argv)
         }
         w.endObject();
     });
-    cp.finish();
     return 0;
 }

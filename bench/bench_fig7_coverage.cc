@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <vector>
 
 #include "aiecc/cost_model.hh"
@@ -157,28 +156,13 @@ main(int argc, char **argv)
 
     bench::Checkpointer cp(opt,
                            bench::campaignIdFor(opt, "fig7_coverage"));
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
-        for (size_t u = 0; u < units.size(); ++u) {
-            const std::string name = "cell:" + std::to_string(u);
-            if (st.has(name))
-                cells[u].deserializeState(st.get(name));
-        }
-        for (size_t li = 0; li < 4; ++li) {
-            const std::string name = "cost:" + std::to_string(li);
-            if (st.has(name))
-                levelCost[li].deserializeState(st.get(name));
-        }
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
-    }
+    const bench::Checkpointer::Cursor resume = cp.cursor();
+    for (size_t u = 0; u < units.size(); ++u)
+        cp.restore("cell:" + std::to_string(u), cells[u]);
+    for (size_t li = 0; li < 4; ++li)
+        cp.restore("cost:" + std::to_string(li), levelCost[li]);
+    if (opt.health)
+        cp.restore("ras", rasMon);
 
     // ---- heartbeat (DESIGN.md §13) --------------------------------
     obs::HeartbeatEmitter hb;
@@ -206,20 +190,19 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
-        st.set("cell:" + std::to_string(u), cells[u].serializeState());
+        st.set("cell:" + std::to_string(u), state::save(cells[u]));
         for (size_t li = 0; li < 4; ++li)
-            st.set("cost:" + std::to_string(li),
-                   levelCost[li].serialize());
+            st.set("cost:" + std::to_string(li), state::save(levelCost[li]));
         if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(units.size()) + " (" + unitLabel(units[u]) +
-                ") shard " + std::to_string(nextShard));
+            st.set("ras", state::save(rasMon));
+        cp.save(u, nextShard,
+                "unit " + std::to_string(u + 1) + "/" +
+                    std::to_string(units.size()) + " (" +
+                    unitLabel(units[u]) + ") shard " +
+                    std::to_string(nextShard));
     };
 
-    for (size_t u = resumeUnit; u < units.size(); ++u) {
+    for (size_t u = resume.unit; u < units.size(); ++u) {
         const UnitSpec &spec = units[u];
         InjectionCampaign camp(
             Mechanisms::forLevel(levels[spec.levelIdx]));
@@ -230,7 +213,7 @@ main(int argc, char **argv)
             camp.setLineageLedger(&rasLineage);
         }
         const std::vector<PinError> errors = unitErrors(spec, camp);
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
+        uint64_t nextShard = u == resume.unit ? resume.shard : 0;
         hb.setNote(unitLabel(spec));
         const RunStatus status = camp.runTrialsCheckpointed(
             patterns[spec.patternIdx], errors, jobs, batch, nextShard,

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "bench_util.hh"
 #include "common/parallel.hh"
@@ -79,23 +78,11 @@ main(int argc, char **argv)
     // for any --jobs value by construction.
     ras::HealthMonitor rasMon;
 
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
-        for (size_t u = 0; u < numUnits; ++u) {
-            const std::string name = "stats:" + std::to_string(u);
-            if (st.has(name))
-                unitStats[u].deserializeState(st.get(name));
-        }
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
-    }
+    const bench::Checkpointer::Cursor resume = cp.cursor();
+    for (size_t u = 0; u < numUnits; ++u)
+        cp.restore("stats:" + std::to_string(u), unitStats[u]);
+    if (opt.health)
+        cp.restore("ras", rasMon);
 
     // ---- heartbeat (DESIGN.md §13) --------------------------------
     // Units alternate between two error lists only (1-pin: all 21
@@ -135,21 +122,19 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
-        st.set("stats:" + std::to_string(u),
-               unitStats[u].serializeState());
+        st.set("stats:" + std::to_string(u), state::save(unitStats[u]));
         if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(numUnits) + " (" +
-                std::string(models[unitModel(u)]) + "/" +
-                configs[unitConfig(u)].name + "/" +
-                gddr5PatternName(patterns[unitPattern(u)]) +
-                ") shard " + std::to_string(nextShard));
+            st.set("ras", state::save(rasMon));
+        cp.save(u, nextShard,
+                "unit " + std::to_string(u + 1) + "/" +
+                    std::to_string(numUnits) + " (" +
+                    std::string(models[unitModel(u)]) + "/" +
+                    configs[unitConfig(u)].name + "/" +
+                    gddr5PatternName(patterns[unitPattern(u)]) +
+                    ") shard " + std::to_string(nextShard));
     };
 
-    for (size_t u = resumeUnit; u < numUnits; ++u) {
+    for (size_t u = resume.unit; u < numUnits; ++u) {
         std::vector<Gddr5Error> errors;
         if (unitModel(u) == 0) {
             for (gddr5::Pin pin : gddr5InjectablePins())
@@ -158,7 +143,7 @@ main(int argc, char **argv)
             for (unsigned s = 0; s < allPinSamples; ++s)
                 errors.push_back(Gddr5Error::allPins(s + 1));
         }
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
+        uint64_t nextShard = u == resume.unit ? resume.shard : 0;
         hb.setNote(std::string(models[unitModel(u)]) + "/" +
                    configs[unitConfig(u)].name + "/" +
                    gddr5PatternName(patterns[unitPattern(u)]));

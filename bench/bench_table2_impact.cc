@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <sstream>
 
 #include "aiecc/cost_model.hh"
 #include "bench_util.hh"
@@ -62,40 +61,19 @@ struct GridCell
 {
     Outcome outcome = Outcome::NoEffect;
     bool detected = false;
-    std::string transition; ///< never contains spaces
+    std::string transition;
+
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("outcome", self.outcome...);
+        v("detected", self.detected...);
+        v("transition", self.transition...);
+    }
 };
 
 using Grid = std::map<Pin, std::map<CommandPattern, GridCell>>;
-
-/** Checkpoint form of one pattern's grid column, one cell per line. */
-std::string
-serializeGridColumn(const Grid &grid, CommandPattern pattern)
-{
-    std::ostringstream out;
-    for (const auto &[pin, perPattern] : grid) {
-        const auto it = perPattern.find(pattern);
-        if (it == perPattern.end())
-            continue;
-        out << static_cast<unsigned>(pin) << ' '
-            << static_cast<unsigned>(it->second.outcome) << ' '
-            << (it->second.detected ? 1 : 0) << ' '
-            << it->second.transition << '\n';
-    }
-    return out.str();
-}
-
-void
-deserializeGridColumn(Grid &grid, CommandPattern pattern,
-                      const std::string &text)
-{
-    std::istringstream in(text);
-    unsigned pin = 0, outcome = 0, detected = 0;
-    std::string trans;
-    while (in >> pin >> outcome >> detected >> trans) {
-        grid[static_cast<Pin>(pin)][pattern] = {
-            static_cast<Outcome>(outcome), detected != 0, trans};
-    }
-}
 
 /** The sweeps, each split per pattern into one resumable unit. */
 enum class UnitKind
@@ -285,57 +263,27 @@ main(int argc, char **argv)
     };
 
     // ---- resume ---------------------------------------------------
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
-        if (st.has("stats:none"))
-            noneStats.deserializeState(st.get("stats:none"));
-        for (size_t p = 0; p < patterns.size(); ++p) {
-            const std::string idx = std::to_string(p);
-            if (st.has("grid:" + idx))
-                deserializeGridColumn(grid, patterns[p],
-                                      st.get("grid:" + idx));
-            if (st.has("rec:" + idx)) {
-                CampaignStats s;
-                s.deserializeState(st.get("rec:" + idx));
-                recStats[patterns[p]] = s;
-            }
-            if (st.has("two:" + idx)) {
-                CampaignStats s;
-                s.deserializeState(st.get("two:" + idx));
-                twoStats[patterns[p]] = s;
-            }
-            if (st.has("three:" + idx)) {
-                CampaignStats s;
-                s.deserializeState(st.get("three:" + idx));
-                threeStats[patterns[p]] = s;
-            }
-        }
-        if (st.has("lineage"))
-            lineage.deserializeState(st.get("lineage"));
-        if (st.has("cost:none"))
-            noneCost.deserializeState(st.get("cost:none"));
-        if (st.has("cost:aiecc"))
-            aieccCost.deserializeState(st.get("cost:aiecc"));
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
-        // Fault-ID positioning: completed units advance their
-        // campaign's trial counter exactly as a live run would; the
-        // in-progress unit's counter stays at the unit start
-        // (runTrialsCheckpointed reconstructs indices from the shard).
-        for (size_t u = 0; u < resumeUnit && u < units.size(); ++u) {
-            const uint64_t n = unitErrors(units[u]).size();
-            if (units[u].kind == UnitKind::PerPin)
-                camp.skipTrials(n);
-            else
-                aiecc.skipTrials(n);
-        }
+    const bench::Checkpointer::Cursor resume = cp.cursor();
+    cp.restore("stats:none", noneStats);
+    cp.restore("grid", grid);
+    cp.restore("rec", recStats);
+    cp.restore("two", twoStats);
+    cp.restore("three", threeStats);
+    cp.restore("lineage", lineage);
+    cp.restore("cost:none", noneCost);
+    cp.restore("cost:aiecc", aieccCost);
+    if (opt.health)
+        cp.restore("ras", rasMon);
+    // Fault-ID positioning: completed units advance their campaign's
+    // trial counter exactly as a live run would; the in-progress
+    // unit's counter stays at the unit start (runTrialsCheckpointed
+    // reconstructs indices from the shard).
+    for (size_t u = 0; u < resume.unit && u < units.size(); ++u) {
+        const uint64_t n = unitErrors(units[u]).size();
+        if (units[u].kind == UnitKind::PerPin)
+            camp.skipTrials(n);
+        else
+            aiecc.skipTrials(n);
     }
 
     // ---- run ------------------------------------------------------
@@ -344,39 +292,28 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
-        st.set("stats:none", noneStats.serializeState());
-        for (size_t p = 0; p < patterns.size(); ++p) {
-            const std::string idx = std::to_string(p);
-            st.set("grid:" + idx,
-                   serializeGridColumn(grid, patterns[p]));
-            const auto rit = recStats.find(patterns[p]);
-            if (rit != recStats.end())
-                st.set("rec:" + idx, rit->second.serializeState());
-            const auto tit = twoStats.find(patterns[p]);
-            if (tit != twoStats.end())
-                st.set("two:" + idx, tit->second.serializeState());
-            const auto xit = threeStats.find(patterns[p]);
-            if (xit != threeStats.end())
-                st.set("three:" + idx, xit->second.serializeState());
-        }
-        st.set("lineage", lineage.serializeState());
-        st.set("cost:none", noneCost.serialize());
-        st.set("cost:aiecc", aieccCost.serialize());
+        st.set("stats:none", state::save(noneStats));
+        st.set("grid", state::save(grid));
+        st.set("rec", state::save(recStats));
+        st.set("two", state::save(twoStats));
+        st.set("three", state::save(threeStats));
+        st.set("lineage", state::save(lineage));
+        st.set("cost:none", state::save(noneCost));
+        st.set("cost:aiecc", state::save(aieccCost));
         if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(units.size()) + " (" +
-                unitLabel(units[u]) + ") shard " +
-                std::to_string(nextShard));
+            st.set("ras", state::save(rasMon));
+        cp.save(u, nextShard,
+                "unit " + std::to_string(u + 1) + "/" +
+                    std::to_string(units.size()) + " (" +
+                    unitLabel(units[u]) + ") shard " +
+                    std::to_string(nextShard));
     };
 
-    for (size_t u = resumeUnit; u < units.size(); ++u) {
+    for (size_t u = resume.unit; u < units.size(); ++u) {
         const UnitSpec &spec = units[u];
         const CommandPattern pattern = patterns[spec.patternIdx];
         const std::vector<PinError> errors = unitErrors(spec);
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
+        uint64_t nextShard = u == resume.unit ? resume.shard : 0;
         hb.setNote(unitLabel(spec));
         InjectionCampaign &runner =
             spec.kind == UnitKind::PerPin ? camp : aiecc;

@@ -151,31 +151,14 @@ main(int argc, char **argv)
                            bench::campaignIdFor(opt, "table3_data"));
 
     const size_t numUnits = results.size() * 4;
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
-        for (size_t u = 0; u < numUnits; ++u) {
-            const std::string name = "cell:" + std::to_string(u);
-            if (st.has(name))
-                results[u / 4].bySch[u % 4].deserializeState(
-                    st.get(name));
-        }
-        if (st.has("lineage"))
-            lineage.deserializeState(st.get("lineage"));
-        for (unsigned si = 0; si < 4; ++si) {
-            const std::string name = "cost:" + std::to_string(si);
-            if (st.has(name))
-                schemeCost[si].deserializeState(st.get(name));
-        }
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
-    }
+    const bench::Checkpointer::Cursor resume = cp.cursor();
+    for (size_t u = 0; u < numUnits; ++u)
+        cp.restore("cell:" + std::to_string(u), results[u / 4].bySch[u % 4]);
+    cp.restore("lineage", lineage);
+    for (unsigned si = 0; si < 4; ++si)
+        cp.restore("cost:" + std::to_string(si), schemeCost[si]);
+    if (opt.health)
+        cp.restore("ras", rasMon);
 
     // ---- heartbeat (DESIGN.md Â§13) --------------------------------
     // Commit-driven ticks with a live coverage/cost payload; commit
@@ -224,29 +207,28 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
         st.set("cell:" + std::to_string(u),
-               results[u / 4].bySch[u % 4].serializeState());
-        st.set("lineage", lineage.serializeState());
+               state::save(results[u / 4].bySch[u % 4]));
+        st.set("lineage", state::save(lineage));
         for (unsigned si = 0; si < 4; ++si)
             st.set("cost:" + std::to_string(si),
-                   schemeCost[si].serialize());
+                   state::save(schemeCost[si]));
         if (opt.health)
-            st.set("ras", rasMon.serializeState());
+            st.set("ras", state::save(rasMon));
         const CellResult &res = results[u / 4];
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(numUnits) + " (" +
-                std::string(schemeNames[u % 4]) + "/" +
-                dataErrorName(res.dm) + "/" + addrErrorName(res.am) +
-                ") shard " + std::to_string(nextShard));
+        cp.save(u, nextShard,
+                "unit " + std::to_string(u + 1) + "/" +
+                    std::to_string(numUnits) + " (" +
+                    std::string(schemeNames[u % 4]) + "/" +
+                    dataErrorName(res.dm) + "/" + addrErrorName(res.am) +
+                    ") shard " + std::to_string(nextShard));
     };
 
     const auto begin = std::chrono::steady_clock::now();
-    for (size_t u = resumeUnit; u < numUnits; ++u) {
+    for (size_t u = resume.unit; u < numUnits; ++u) {
         CellResult &res = results[u / 4];
         const unsigned si = static_cast<unsigned>(u % 4);
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
+        uint64_t nextShard = u == resume.unit ? resume.shard : 0;
         DataMonteCarlo mc(schemes[si]);
         mc.setLineageLedger(&lineage);
         mc.setObserver(&costObs[si]);

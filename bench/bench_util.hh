@@ -316,13 +316,15 @@ campaignIdFor(const Options &opt, const std::string &benchName)
 /**
  * Bench-side driver for durable checkpoint/resume (DESIGN.md §12).
  *
- * Owns the one CampaignCheckpoint a bench persists: open() (the
- * constructor) validates --resume state, save() atomically replaces
- * the file after each committed batch, and finish() removes it once
- * the artifact is complete.  The campaign ID must encode every
- * output-affecting option (trials, allpin, quick, recovery knobs,
- * exhaustive — but never --jobs or paths), so a checkpoint can never
- * be resumed into a differently-configured run.
+ * Owns the one CampaignCheckpoint a bench persists and its cursor (the
+ * unit and next shard to run): the constructor validates --resume
+ * state, cursor()/restore() read it back, save() records the cursor
+ * and atomically replaces the file after each committed batch, and
+ * finish() removes it once the artifact is complete.  Every section is
+ * a state::save() form (common/state.hh).  The campaign ID must encode
+ * every output-affecting option (trials, allpin, quick, recovery
+ * knobs, exhaustive — but never --jobs or paths), so a checkpoint can
+ * never be resumed into a differently-configured run.
  *
  * With no --checkpoint the helper is inert: enabled() is false, every
  * state query says "fresh", save() and finish() do nothing — benches
@@ -383,7 +385,50 @@ class Checkpointer
         // Persist immediately: the file exists (and pins the campaign
         // ID) before the first batch runs, so a kill at any instant
         // leaves a loadable state behind.
-        save(wasResumed ? ckpt.progressNote() : "starting");
+        persist(wasResumed ? ckpt.progressNote() : "starting");
+    }
+
+    /** Where a resumed run continues: a unit and its next shard. */
+    struct Cursor
+    {
+        uint64_t unit = 0;
+        uint64_t shard = 0;
+
+        template <class V, class... Self>
+        static void
+        fields(V &v, Self &...self)
+        {
+            v("unit", self.unit...);
+            v("shard", self.shard...);
+        }
+    };
+
+    /** The last committed cursor ({0, 0} on a fresh run). */
+    Cursor
+    cursor() const
+    {
+        Cursor c;
+        restore("cursor", c);
+        return c;
+    }
+
+    /**
+     * Load @p x from section @p name of the resumed checkpoint.  False,
+     * with @p x untouched, on a fresh run or when the section is
+     * absent; a section that does not load is fatal — the file's
+     * digest verified, so it was written by a different build.
+     */
+    template <class T>
+    bool
+    restore(const std::string &name, T &x) const
+    {
+        if (!wasResumed || !ckpt.has(name))
+            return false;
+        const state::Status st = state::load(x, ckpt.get(name));
+        if (!st.ok)
+            AIECC_FATAL("cannot resume " << path << ": section '" << name
+                                         << "': " << st.error);
+        return true;
     }
 
     /** True when --checkpoint was given. */
@@ -396,16 +441,17 @@ class Checkpointer
     CampaignCheckpoint &state() { return ckpt; }
     const CampaignCheckpoint &state() const { return ckpt; }
 
-    /** Atomically persist with @p progressNote; fatal on I/O error. */
+    /**
+     * Commit: record that the run continues at shard @p shard of unit
+     * @p unit, then atomically persist with @p progressNote.
+     */
     void
-    save(const std::string &progressNote)
+    save(uint64_t unit, uint64_t shard, const std::string &progressNote)
     {
         if (path.empty())
             return;
-        ckpt.setProgressNote(progressNote);
-        const CampaignCheckpoint::Load res = ckpt.saveAtomic(path);
-        if (!res.ok)
-            AIECC_FATAL("cannot save checkpoint: " << res.error);
+        ckpt.set("cursor", state::save(Cursor{unit, shard}));
+        persist(progressNote);
     }
 
     /** The run completed: the checkpoint has served its purpose. */
@@ -434,6 +480,16 @@ class Checkpointer
     std::string path;
     CampaignCheckpoint ckpt;
     bool wasResumed = false;
+
+    /** Atomically persist with @p progressNote; fatal on I/O error. */
+    void
+    persist(const std::string &progressNote)
+    {
+        ckpt.setProgressNote(progressNote);
+        const CampaignCheckpoint::Load res = ckpt.saveAtomic(path);
+        if (!res.ok)
+            AIECC_FATAL("cannot save checkpoint: " << res.error);
+    }
 };
 
 /**

@@ -28,6 +28,8 @@ enum class Mechanism
     EDecc,  ///< extended data ECC (address-aware)
 };
 
+constexpr unsigned stateLimit(Mechanism) { return 7; }
+
 /** Printable mechanism name. */
 std::string mechanismName(Mechanism mech);
 

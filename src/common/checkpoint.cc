@@ -56,7 +56,7 @@ hex16(uint64_t value)
     return buf;
 }
 
-constexpr const char *magicLine = "aiecc-checkpoint v1";
+constexpr const char *magicLine = "aiecc-checkpoint v2";
 
 // ---- AIECC_CRASH_AFTER_SHARD ----
 
@@ -232,8 +232,14 @@ CampaignCheckpoint::deserialize(const std::string &text)
     };
 
     std::string line;
-    if (!nextLine(line) || line != magicLine)
-        return fail("not an aiecc-checkpoint v1 file");
+    if (!nextLine(line) || line != magicLine) {
+        // An older format is refused by name, never misread: its
+        // section payloads predate the common/state.hh codec.
+        if (line.rfind("aiecc-checkpoint ", 0) == 0)
+            return fail("checkpoint format " + line.substr(17) +
+                        " is not supported (this build reads v2 only)");
+        return fail("not an aiecc-checkpoint v2 file");
+    }
     if (!nextLine(line) || line.rfind("campaign ", 0) != 0)
         return fail("missing campaign header");
     fresh.id = seenId = line.substr(9);
@@ -356,16 +362,6 @@ CampaignCheckpoint::loadFile(const std::string &path)
 }
 
 // ---- Checkpointed batch runner ----
-
-RunStatus
-runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
-                      unsigned jobs, uint64_t &nextShard,
-                      const std::function<void(uint64_t)> &fn,
-                      const std::function<void(uint64_t, uint64_t)> &commit)
-{
-    return runShardsCheckpointed(totalShards, batchShards, jobs,
-                                 nextShard, fn, commit, nullptr);
-}
 
 RunStatus
 runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,

@@ -8,10 +8,11 @@
  * work or perturbing a single bit of the final artifact.  Three
  * pieces cooperate:
  *
- *  - CampaignCheckpoint: a named-section store (serialized merge
- *    state: CampaignStats, LineageLedger, CostAccountant,
- *    StatsRegistry, per-unit progress) written atomically — temp
- *    file, fsync, rename — with an FNV-1a content digest.  A
+ *  - CampaignCheckpoint: a named-section store (merge state saved
+ *    through the common/state.hh codec: CampaignStats, LineageLedger,
+ *    CostAccountant, StatsRegistry, per-unit progress) written
+ *    atomically — temp file, fsync, rename — with an FNV-1a content
+ *    digest.  A
  *    truncated or tampered file never loads: the reader rejects it
  *    with a diagnostic naming the last progress note that survived,
  *    and the caller restarts from the last good state (for an
@@ -45,6 +46,8 @@
 #include <functional>
 #include <map>
 #include <string>
+
+#include "common/state.hh"
 
 namespace aiecc
 {
@@ -88,11 +91,11 @@ uint64_t crashAfterShardThreshold();
 /**
  * A durable key→blob store for one campaign's resumable state.
  *
- * Sections hold the serialized forms the obs/ merge types already
- * guarantee byte-stable (LineageLedger, CostAccountant, ...) plus
- * bench-private progress blobs; the campaign ID pins the file to one
- * (bench, output-affecting options) pair so a checkpoint can never be
- * resumed into a differently-configured run.  serialize() is a
+ * Sections hold state::save() forms (common/state.hh) of the merge
+ * types (LineageLedger, CostAccountant, ...) and the bench's cursor;
+ * the campaign ID pins the file to one (bench, output-affecting
+ * options) pair so a checkpoint can never be resumed into a
+ * differently-configured run.  serialize() is a
  * length-prefixed text form ending in a digest line; loadFile()
  * verifies the digest before exposing any section.
  */
@@ -122,12 +125,7 @@ class CampaignCheckpoint
     std::string serialize() const;
 
     /** Outcome of deserialize()/loadFile(). */
-    struct Load
-    {
-        bool ok = false;
-        /** Why the load failed (empty when ok). */
-        std::string error;
-    };
+    using Load = state::Status;
 
     /**
      * Parse @p text, replacing this checkpoint's contents.  Rejects
@@ -168,27 +166,20 @@ class CampaignCheckpoint
  * AIECC_CRASH_AFTER_SHARD hook fires after a batch joins but before
  * its commit — the simulated kill always loses in-flight work, which
  * resume must redo identically.
- */
-RunStatus
-runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
-                      unsigned jobs, uint64_t &nextShard,
-                      const std::function<void(uint64_t)> &fn,
-                      const std::function<void(uint64_t, uint64_t)> &commit);
-
-/**
- * runShardsCheckpointed() with a progress callback: @p progress(done)
- * fires after each shard completes, with @p done the *global* count
- * of shards finished (committed prefix + this batch's completions) —
- * the number a heartbeat reports as shards_done.  Invoked from worker
- * threads like the runShards() progress overload, and under the same
- * contract: observability only, never output-affecting.
+ *
+ * The optional @p progress(done) fires after each shard completes,
+ * with @p done the *global* count of shards finished (committed prefix
+ * + this batch's completions) — the number a heartbeat reports as
+ * shards_done.  Invoked from worker threads like the runShards()
+ * progress overload, and under the same contract: observability only,
+ * never output-affecting.
  */
 RunStatus
 runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
                       unsigned jobs, uint64_t &nextShard,
                       const std::function<void(uint64_t)> &fn,
                       const std::function<void(uint64_t, uint64_t)> &commit,
-                      const std::function<void(uint64_t)> &progress);
+                      const std::function<void(uint64_t)> &progress = {});
 
 /**
  * Batch size for checkpointed campaigns: AIECC_CHECKPOINT_BATCH_SHARDS

@@ -45,6 +45,7 @@ enum class Pin : uint8_t
 
 /** Total number of CCCA pins (including CK and PAR). */
 inline constexpr unsigned numCccaPins = 28;
+constexpr unsigned stateLimit(Pin) { return numCccaPins; }
 
 /** Number of CMD/ADD pins (Figure 2 pins 22..0). */
 inline constexpr unsigned numCmdAddPins = 23;

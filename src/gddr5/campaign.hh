@@ -62,15 +62,22 @@ struct Gddr5Stats
     void add(const Gddr5Trial &trial);
 
     /** Fold @p other's counts into this aggregate. */
-    void merge(const Gddr5Stats &other);
+    void merge(const Gddr5Stats &other) { state::sumInto(*this, other); }
 
-    /**
-     * Byte-stable checkpoint state form.  deserializeState() replaces
-     * this aggregate and panics on malformed input (checkpoint
-     * payloads are digest-verified first).
-     */
-    std::string serializeState() const;
-    void deserializeState(const std::string &text);
+    /** Checkpoint state and merge terms (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("trials", self.trials...);
+        v("detected", self.detected...);
+        v("noEffect", self.noEffect...);
+        v("corrected", self.corrected...);
+        v("due", self.due...);
+        v("sdc", self.sdc...);
+        v("mdc", self.mdc...);
+        v("both", self.both...);
+    }
 
     double
     coveredFrac() const

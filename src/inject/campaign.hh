@@ -23,6 +23,7 @@
 
 #include "aiecc/stack.hh"
 #include "common/checkpoint.hh"
+#include "common/state.hh"
 #include "common/combinadic.hh"
 #include "obs/json.hh"
 #include "obs/lineage.hh"
@@ -39,6 +40,8 @@ enum class CommandPattern
     Rd,     ///< RD from an open row
     Pre,    ///< PRE, then reopen and read
 };
+
+constexpr unsigned stateLimit(CommandPattern) { return 5; }
 
 /** All five patterns, in paper order. */
 std::vector<CommandPattern> allPatterns();
@@ -85,6 +88,8 @@ enum class Outcome
     Mdc,         ///< undetected latent storage corruption
     SdcMdc,      ///< both
 };
+
+constexpr unsigned stateLimit(Outcome) { return 6; }
 
 /** Printable outcome name. */
 std::string outcomeName(Outcome outcome);
@@ -161,15 +166,28 @@ struct CampaignStats
     void add(const TrialResult &result);
 
     /** Fold @p other's counts into this aggregate. */
-    void merge(const CampaignStats &other);
+    void merge(const CampaignStats &other) { state::sumInto(*this, other); }
 
-    /**
-     * Byte-stable checkpoint state form.  deserializeState() replaces
-     * this aggregate and panics on malformed input (checkpoint
-     * payloads are digest-verified before they get here).
-     */
-    std::string serializeState() const;
-    void deserializeState(const std::string &text);
+    /** Checkpoint state and merge terms (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("trials", self.trials...);
+        v("detected", self.detected...);
+        v("noEffect", self.noEffect...);
+        v("corrected", self.corrected...);
+        v("due", self.due...);
+        v("sdc", self.sdc...);
+        v("mdc", self.mdc...);
+        v("sdcMdcBoth", self.sdcMdcBoth...);
+        v("recoveryEpisodes", self.recoveryEpisodes...);
+        v("recoveryAttempts", self.recoveryAttempts...);
+        v("recoveredFirstTry", self.recoveredFirstTry...);
+        v("recoveredAfterRetries", self.recoveredAfterRetries...);
+        v("retryExhausted", self.retryExhausted...);
+        v("byFirstDetector", self.byFirstDetector...);
+    }
 
     /** Serialize counts and derived fractions as one JSON object. */
     void writeJson(obs::JsonWriter &w) const;

@@ -21,6 +21,7 @@
 
 #include "aiecc/mechanisms.hh"
 #include "common/checkpoint.hh"
+#include "common/state.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "obs/json.hh"
@@ -112,24 +113,19 @@ struct MonteCarloCell
     DataOutcome dominant() const;
 
     /** Fold @p other's trials and per-outcome counts into this cell. */
-    void
-    merge(const MonteCarloCell &other)
-    {
-        trials += other.trials;
-        for (unsigned i = 0; i < 8; ++i)
-            counts[i] += other.counts[i];
-    }
+    void merge(const MonteCarloCell &other) { state::sumInto(*this, other); }
 
     /** Serialize trial count and per-outcome counts as JSON. */
     void writeJson(obs::JsonWriter &w) const;
 
-    /**
-     * Byte-stable checkpoint state form ("trials T counts c0..c7").
-     * deserializeState() replaces this cell and panics on malformed
-     * input (checkpoint payloads are digest-verified first).
-     */
-    std::string serializeState() const;
-    void deserializeState(const std::string &text);
+    /** Checkpoint state and merge terms (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("trials", self.trials...);
+        v("counts", self.counts...);
+    }
 };
 
 /** Stat-name-safe outcome slug ("CE-R+" -> "ce_r_plus"). */

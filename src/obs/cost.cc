@@ -184,18 +184,9 @@ CostAccountant::merge(const CostAccountant &other)
                  "merging cost accountants with different models");
     AIECC_ASSERT(other.recoveryDepth == 0,
                  "merging an accountant with an open recovery scope");
-    for (unsigned l = 0; l < numCostLevels; ++l)
-        for (unsigned c = 0; c < numCostCategories; ++c)
-            cells[l][c] += other.cells[l][c];
+    state::sumInto(*this, other);
     for (unsigned c = 0; c < numCostCategories; ++c)
         totals[c] += other.totals[c];
-    nCommands += other.nCommands;
-    nReads += other.nReads;
-    nWrites += other.nWrites;
-    nRecoveryCommands += other.nRecoveryCommands;
-    nBackoffCycles += other.nBackoffCycles;
-    nStoredBlocks += other.nStoredBlocks;
-    nDemandAccesses += other.nDemandAccesses;
 }
 
 CostAccountant::Audit
@@ -293,58 +284,16 @@ CostAccountant::digest() const
     return lineageHash(serialize());
 }
 
-void
-CostAccountant::deserializeState(const std::string &text)
+std::string
+CostAccountant::rebuild()
 {
-    std::istringstream in(text);
-    std::string level, category;
-
-    uint64_t freshCells[numCostLevels][numCostCategories] = {};
-    for (unsigned l = 0; l < numCostLevels; ++l) {
-        for (unsigned c = 0; c < numCostCategories; ++c) {
-            in >> level >> category >> freshCells[l][c];
-            AIECC_ASSERT(
-                in &&
-                    level ==
-                        costLevelName(static_cast<CostLevel>(l)) &&
-                    category == costCategoryName(
-                                    static_cast<CostCategory>(c)),
-                "cost state: bad cell line for ("
-                    << costLevelName(static_cast<CostLevel>(l)) << ", "
-                    << costCategoryName(static_cast<CostCategory>(c))
-                    << ")");
-        }
-    }
-
-    uint64_t counters[7] = {};
-    static const char *counterNames[7] = {
-        "commands",       "reads",         "writes",
-        "recovery_commands", "backoff_cycles", "stored_blocks",
-        "demand_accesses"};
-    for (unsigned i = 0; i < 7; ++i) {
-        std::string name;
-        in >> name >> counters[i];
-        AIECC_ASSERT(in && name == counterNames[i],
-                     "cost state: expected counter '"
-                         << counterNames[i] << "'");
-    }
-
-    for (unsigned l = 0; l < numCostLevels; ++l)
-        for (unsigned c = 0; c < numCostCategories; ++c)
-            cells[l][c] = freshCells[l][c];
     for (unsigned c = 0; c < numCostCategories; ++c) {
         totals[c] = 0;
         for (unsigned l = 0; l < numCostLevels; ++l)
             totals[c] += cells[l][c];
     }
-    nCommands = counters[0];
-    nReads = counters[1];
-    nWrites = counters[2];
-    nRecoveryCommands = counters[3];
-    nBackoffCycles = counters[4];
-    nStoredBlocks = counters[5];
-    nDemandAccesses = counters[6];
     recoveryDepth = 0; // checkpoints are only written between batches
+    return {};
 }
 
 void

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/state.hh"
 #include "obs/json.hh"
 
 namespace aiecc
@@ -223,16 +224,6 @@ class CostAccountant
     uint64_t digest() const;
 
     /**
-     * Restore the tallies from a serialize() form (the text form is
-     * already self-contained: level/category names carry no spaces).
-     * The model is NOT in the text — the caller reconstructs it from
-     * the campaign configuration, exactly as on a fresh run — and
-     * totals are recomputed as Σ cells.  Malformed input panics:
-     * checkpoint payloads are digest-verified before they get here.
-     */
-    void deserializeState(const std::string &text);
-
-    /**
      * Serialize as one JSON object: the model, access counts, the
      * per-level × per-category attribution (integer units plus
      * derived bytes/ns), totals, the derived Pareto metrics, and the
@@ -242,6 +233,7 @@ class CostAccountant
     void writeJson(JsonWriter &w) const;
 
   private:
+    friend struct state::Access;
     CostModel mdl;
     uint64_t cells[numCostLevels][numCostCategories] = {};
     uint64_t totals[numCostCategories] = {};
@@ -257,6 +249,27 @@ class CostAccountant
     /** The one write path into the tallies: cell and total together. */
     void chargeCell(CostLevel level, CostCategory category,
                     uint64_t amount);
+
+    /**
+     * Checkpoint state and merge() terms (common/state.hh).  The model
+     * comes from the campaign configuration; totals are derived.
+     */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("cells", self.cells...);
+        v("commands", self.nCommands...);
+        v("reads", self.nReads...);
+        v("writes", self.nWrites...);
+        v("recoveryCommands", self.nRecoveryCommands...);
+        v("backoffCycles", self.nBackoffCycles...);
+        v("storedBlocks", self.nStoredBlocks...);
+        v("demandAccesses", self.nDemandAccesses...);
+    }
+
+    /** After a load: totals as the per-level sums; no open scope. */
+    std::string rebuild();
 };
 
 /** RAII recovery billing scope (nullptr accountant = no-op). */

@@ -191,95 +191,35 @@ LineageLedger::digest() const
 }
 
 std::string
-LineageLedger::serializeState() const
+LineageLedger::rebuild()
 {
-    std::ostringstream out;
-    out << "sites " << sites.size() << '\n';
-    for (const std::string &site : sites)
-        out << site << '\n';
-    out << "mechs " << mechs.size() << '\n';
-    for (const std::string &mech : mechs)
-        out << mech << '\n';
-    out << "records " << recs.size() << " unresolved " << unresolved
-        << '\n';
-    for (const LineageRecord &rec : recs) {
-        out << rec.faultId << ' ' << static_cast<unsigned>(rec.kind)
-            << ' ' << static_cast<unsigned>(rec.terminal) << ' '
-            << rec.site << ' ' << rec.mech << ' ' << rec.observations
-            << ' ' << rec.attempts << '\n';
-    }
-    return out.str();
-}
-
-void
-LineageLedger::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string tag;
-    uint64_t count = 0;
-
-    LineageLedger fresh;
-    fresh.sites.clear();
-    fresh.siteIndex.clear();
-    fresh.mechs.clear();
-    fresh.mechIndex.clear();
-
-    const auto expectTag = [&](const char *want) {
-        in >> tag >> count;
-        AIECC_ASSERT(in && tag == want,
-                     "lineage state: expected '" << want << "' header");
-        in.ignore(); // the newline before raw name lines
+    // Intern indexes, open records and the unresolved count follow
+    // from the tables; every index serialize()/merge() reads must hold.
+    if (mechs.empty() || !mechs[0].empty())
+        return "mechs: entry 0 must be the empty (no mechanism) label";
+    siteIndex.clear();
+    mechIndex.clear();
+    open.clear();
+    for (uint32_t i = 0; i < sites.size(); ++i)
+        if (!siteIndex.emplace(sites[i], i).second)
+            return "sites: duplicate site '" + sites[i] + "'";
+    for (uint32_t i = 0; i < mechs.size(); ++i)
+        if (!mechIndex.emplace(mechs[i], i).second)
+            return "mechs: duplicate mechanism '" + mechs[i] + "'";
+    const auto at = [](size_t i) {
+        return "recs[" + std::to_string(i) + "]";
     };
-
-    expectTag("sites");
-    for (uint64_t i = 0; i < count; ++i) {
-        std::string name;
-        AIECC_ASSERT(static_cast<bool>(std::getline(in, name)),
-                     "lineage state: truncated site table");
-        fresh.siteIndex.emplace(name, fresh.sites.size());
-        fresh.sites.push_back(std::move(name));
+    for (size_t i = 0; i < recs.size(); ++i) {
+        if (recs[i].site >= sites.size())
+            return at(i) + ".site: index out of range";
+        if (recs[i].mech >= mechs.size())
+            return at(i) + ".mech: index out of range";
+        if (recs[i].terminal == FaultTerminal::Unaccounted &&
+            !open.emplace(recs[i].faultId, i).second)
+            return at(i) + ".faultId: fault opened twice";
     }
-    expectTag("mechs");
-    for (uint64_t i = 0; i < count; ++i) {
-        std::string name;
-        AIECC_ASSERT(static_cast<bool>(std::getline(in, name)),
-                     "lineage state: truncated mechanism table");
-        fresh.mechIndex.emplace(name, fresh.mechs.size());
-        fresh.mechs.push_back(std::move(name));
-    }
-
-    uint64_t wantUnresolved = 0;
-    in >> tag >> count;
-    AIECC_ASSERT(in && tag == "records",
-                 "lineage state: expected 'records' header");
-    in >> tag >> wantUnresolved;
-    AIECC_ASSERT(in && tag == "unresolved",
-                 "lineage state: expected 'unresolved' count");
-    for (uint64_t i = 0; i < count; ++i) {
-        LineageRecord rec;
-        unsigned kind = 0, terminal = 0;
-        in >> rec.faultId >> kind >> terminal >> rec.site >> rec.mech >>
-            rec.observations >> rec.attempts;
-        AIECC_ASSERT(in, "lineage state: truncated record "
-                             << i << " of " << count);
-        AIECC_ASSERT(kind < numFaultKinds &&
-                         terminal < numFaultTerminals &&
-                         rec.site < fresh.sites.size() &&
-                         rec.mech < fresh.mechs.size(),
-                     "lineage state: record " << i << " out of range");
-        rec.kind = static_cast<FaultKind>(kind);
-        rec.terminal = static_cast<FaultTerminal>(terminal);
-        if (rec.terminal == FaultTerminal::Unaccounted) {
-            fresh.open.emplace(rec.faultId, fresh.recs.size());
-            ++fresh.unresolved;
-        }
-        fresh.recs.push_back(rec);
-    }
-    AIECC_ASSERT(fresh.unresolved == wantUnresolved,
-                 "lineage state: unresolved count mismatch ("
-                     << fresh.unresolved << " vs " << wantUnresolved
-                     << ")");
-    *this = std::move(fresh);
+    unresolved = open.size();
+    return {};
 }
 
 void

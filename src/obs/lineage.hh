@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/state.hh"
 #include "obs/json.hh"
 
 namespace aiecc
@@ -47,6 +48,7 @@ enum class FaultKind
 };
 
 constexpr unsigned numFaultKinds = 4;
+constexpr unsigned stateLimit(FaultKind) { return numFaultKinds; }
 
 /** Printable fault-kind name ("ccca", "data", ...). */
 std::string faultKindName(FaultKind kind);
@@ -68,6 +70,7 @@ enum class FaultTerminal
 };
 
 constexpr unsigned numFaultTerminals = 6;
+constexpr unsigned stateLimit(FaultTerminal) { return numFaultTerminals; }
 
 /** Printable terminal-state name ("masked", "recovered", ...). */
 std::string faultTerminalName(FaultTerminal terminal);
@@ -99,6 +102,20 @@ struct LineageRecord
     uint32_t observations = 0;
     /** In-band recovery attempts spent on this fault. */
     uint32_t attempts = 0;
+
+    /** Checkpoint state (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("faultId", self.faultId...);
+        v("kind", self.kind...);
+        v("terminal", self.terminal...);
+        v("site", self.site...);
+        v("mech", self.mech...);
+        v("observations", self.observations...);
+        v("attempts", self.attempts...);
+    }
 };
 
 /**
@@ -157,23 +174,6 @@ class LineageLedger
     uint64_t digest() const;
 
     /**
-     * Self-contained checkpoint state form: intern tables one name
-     * per line (site names may contain spaces, so the display-oriented
-     * serialize() is not reversible), then numeric records.  A ledger
-     * restored by deserializeState() is behaviorally identical —
-     * serialize(), digest(), merge() and further record/resolve calls
-     * all continue as if the process had never died.
-     */
-    std::string serializeState() const;
-
-    /**
-     * Replace this ledger with @p text (a serializeState() form).
-     * Malformed input panics: checkpoint payloads are digest-verified
-     * before they get here, so damage means a harness bug.
-     */
-    void deserializeState(const std::string &text);
-
-    /**
      * Serialize as one JSON object: record/unaccounted counts, the
      * digest, and up to @p maxRecords full records (default caps the
      * artifact size; the digest still covers every record).
@@ -181,6 +181,7 @@ class LineageLedger
     void writeJson(JsonWriter &w, size_t maxRecords = 64) const;
 
   private:
+    friend struct state::Access;
     std::vector<LineageRecord> recs;
     std::vector<std::string> sites;
     std::map<std::string, uint32_t> siteIndex;
@@ -191,6 +192,22 @@ class LineageLedger
 
     uint32_t internSite(const std::string &name);
     uint32_t internMech(const std::string &name);
+
+    /**
+     * Checkpoint state (common/state.hh): intern tables and records.
+     * A restored ledger continues exactly as if never stopped.
+     */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("sites", self.sites...);
+        v("mechs", self.mechs...);
+        v("recs", self.recs...);
+    }
+
+    /** After a load: intern indexes, open records, unresolved count. */
+    std::string rebuild();
 };
 
 } // namespace obs

@@ -85,6 +85,19 @@ struct AllocStats
     }
 
     void reset() { *this = AllocStats{}; }
+
+    /** Checkpoint state (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("allocs", self.allocs...);
+        v("frees", self.frees...);
+        v("allocBytes", self.allocBytes...);
+        v("freeBytes", self.freeBytes...);
+        v("liveBytes", self.liveBytes...);
+        v("peakLiveBytes", self.peakLiveBytes...);
+    }
 };
 
 /** Process-wide totals since start (or the last resetProcessTotals). */

@@ -44,6 +44,12 @@ namespace obs
 class ProfileRegistry
 {
   public:
+    /** Stats live behind stable addresses: move, never copy. */
+    ProfileRegistry() = default;
+    ProfileRegistry(const ProfileRegistry &) = delete;
+    ProfileRegistry(ProfileRegistry &&) = default;
+    ProfileRegistry &operator=(ProfileRegistry &&) = default;
+
     /** Find-or-create the timer called @p name (idempotent). */
     Histogram &timer(const std::string &name,
                      const std::string &description = "");
@@ -91,28 +97,26 @@ class ProfileRegistry
     /** Sum of attributed allocations across every scope. */
     uint64_t totalScopedAllocs() const;
 
-    /**
-     * Self-contained checkpoint state form: full histogram state plus
-     * each timer's allocation counters, one line per timer.  Like
-     * StatsRegistry::serializeState, descriptions are not carried —
-     * a restored registry adopts them on re-registration.
-     */
-    std::string serializeState() const;
-
-    /**
-     * Replace this registry's contents with @p text (a
-     * serializeState() form).  Malformed input panics: checkpoint
-     * payloads are digest-verified before they get here.
-     */
-    void deserializeState(const std::string &text);
-
     /** Human-readable dump, one line per timer, sorted by name. */
     std::string str() const;
 
   private:
+    friend struct state::Access;
     std::map<std::string, std::unique_ptr<Histogram>> timers;
     /** One allocation scope per timer, same keys as `timers`. */
     std::map<std::string, std::unique_ptr<memprof::AllocStats>> allocs;
+
+    /** Checkpoint state: timers and their allocation counters. */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("timers", self.timers...);
+        v("allocs", self.allocs...);
+    }
+
+    /** After a load: timer names and their paired alloc scopes. */
+    std::string rebuild();
 };
 
 /**

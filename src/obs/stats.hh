@@ -21,6 +21,7 @@
 #include <set>
 #include <string>
 
+#include "common/state.hh"
 #include "obs/json.hh"
 
 namespace aiecc
@@ -55,12 +56,21 @@ class Counter
 
   private:
     friend class StatsRegistry;
+    friend struct state::Access;
+    Counter() = default;
     Counter(std::string name, std::string description)
         : nm(std::move(name)), desc(std::move(description))
     {
     }
     std::string nm, desc;
     uint64_t val = 0;
+
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("value", self.val...);
+    }
 };
 
 /** A last-writer-wins scalar (rates, fractions, configuration echo). */
@@ -79,12 +89,21 @@ class Scalar
 
   private:
     friend class StatsRegistry;
+    friend struct state::Access;
+    Scalar() = default;
     Scalar(std::string name, std::string description)
         : nm(std::move(name)), desc(std::move(description))
     {
     }
     std::string nm, desc;
     double val = 0.0;
+
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("value", self.val...);
+    }
 };
 
 /** A value distribution: count/sum/min/max plus log2 buckets. */
@@ -147,26 +166,28 @@ class Histogram
     memprof::AllocStats *allocScope() const { return alloc; }
     void setAllocScope(memprof::AllocStats *scope) { alloc = scope; }
 
-    /**
-     * Space-separated exact state form (count, sum as raw IEEE-754
-     * bits, min, max, buckets) for checkpoint payloads; the inverse
-     * of deserializeState().  The paired alloc scope is observability
-     * only and deliberately not part of the state.
-     */
-    std::string serializeState() const;
-
-    /** Replace distribution state with @p text; malformed input panics. */
-    void deserializeState(const std::string &text);
-
   private:
     friend class StatsRegistry;
     friend class ProfileRegistry;
+    friend struct state::Access;
     memprof::AllocStats *alloc = nullptr;
     std::string nm, desc;
     uint64_t cnt = 0;
     double total = 0.0;
     uint64_t mn = 0, mx = 0;
     uint64_t buckets[numBuckets] = {};
+
+    /** Checkpoint state: the distribution (name and scope are not). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("count", self.cnt...);
+        v("sum", self.total...);
+        v("min", self.mn...);
+        v("max", self.mx...);
+        v("buckets", self.buckets...);
+    }
 };
 
 /**
@@ -176,6 +197,12 @@ class Histogram
 class StatsRegistry
 {
   public:
+    /** Stats live behind stable addresses: move, never copy. */
+    StatsRegistry() = default;
+    StatsRegistry(const StatsRegistry &) = delete;
+    StatsRegistry(StatsRegistry &&) = default;
+    StatsRegistry &operator=(StatsRegistry &&) = default;
+
     /**
      * Find-or-create a counter.  Names are dotted hierarchies of
      * [A-Za-z0-9_+-] components; a name may not be reused for a
@@ -239,23 +266,8 @@ class StatsRegistry
     /** Flat gem5-stats.txt-style text dump (sorted by name). */
     std::string str() const;
 
-    /**
-     * Self-contained checkpoint state form: counter values, scalar
-     * values and full histogram state (doubles as raw bit patterns so
-     * the round trip is exact).  Descriptions are not carried — a
-     * restored registry adopts them on first live re-registration,
-     * exactly as merge() does for stats absent on one side.
-     */
-    std::string serializeState() const;
-
-    /**
-     * Replace this registry's contents with @p text (a
-     * serializeState() form).  Malformed input panics: checkpoint
-     * payloads are digest-verified before they get here.
-     */
-    void deserializeState(const std::string &text);
-
   private:
+    friend struct state::Access;
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Scalar>> scalars;
     std::map<std::string, std::unique_ptr<Histogram>> histograms;
@@ -264,6 +276,25 @@ class StatsRegistry
 
     /** Validate @p name and record its leaf/group structure. */
     void registerName(const std::string &name, const char *kind);
+
+    /** registerName() that returns the violation instead of panicking. */
+    std::string claimName(const std::string &name, const char *kind);
+
+    /**
+     * Checkpoint state (common/state.hh), keyed by name.  Descriptions
+     * are not carried: they are adopted on live re-registration.
+     */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("counters", self.counters...);
+        v("scalars", self.scalars...);
+        v("histograms", self.histograms...);
+    }
+
+    /** After a load: stat names and the leaf/group structure. */
+    std::string rebuild();
 
     /**
      * Enforce description consistency on re-resolution: adopt into an

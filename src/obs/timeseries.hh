@@ -9,8 +9,8 @@
  * allocation-free, and the class follows the registry contract the
  * rest of src/obs obeys: shard-local instances merge bucket-aligned
  * in shard order (bit-identical for any --jobs value) and the full
- * state round-trips through serializeState()/deserializeState() for
- * campaign checkpoints.
+ * state round-trips through state::save()/state::load()
+ * (common/state.hh) for campaign checkpoints.
  */
 
 #ifndef AIECC_OBS_TIMESERIES_HH
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/state.hh"
 #include "obs/json.hh"
 
 namespace aiecc
@@ -78,21 +79,13 @@ class SlidingWindow
     void reset();
 
     /**
-     * Space-separated exact state (bucket width, head index, lifetime,
-     * buckets); the inverse of deserializeState().
-     */
-    std::string serializeState() const;
-
-    /** Replace state with @p text; malformed input panics. */
-    void deserializeState(const std::string &text);
-
-    /**
      * Emit the standard JSON members (window_total, lifetime,
      * rate_per_kcycle) into an already-open object.
      */
     void writeJsonMembers(JsonWriter &w, const std::string &prefix) const;
 
   private:
+    friend struct state::Access;
     uint64_t bucketWidth;
     bool any = false;      ///< has record() ever been called
     uint64_t head = 0;     ///< absolute index of the newest bucket
@@ -102,6 +95,22 @@ class SlidingWindow
 
     /** Advance head to absolute bucket @p idx, zeroing skipped slots. */
     void advanceHead(uint64_t idx);
+
+    /** Checkpoint state (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("bucketWidth", self.bucketWidth...);
+        v("any", self.any...);
+        v("head", self.head...);
+        v("first", self.first...);
+        v("life", self.life...);
+        v("buckets", self.buckets...);
+    }
+
+    /** After a load: the width must be usable. */
+    std::string rebuild();
 };
 
 } // namespace obs

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/state.hh"
 #include "ddr4/address.hh"
 #include "ddr4/burst.hh"
 #include "ddr4/pins.hh"
@@ -49,6 +50,8 @@ enum class HealthState
     Degraded, ///< elevated windowed error rate
     Failing,  ///< rate past the failure threshold or quarantined
 };
+
+constexpr unsigned stateLimit(HealthState) { return 3; }
 
 /** Printable state name. */
 const char *healthStateName(HealthState state);
@@ -88,6 +91,8 @@ enum class ActionKind
     QuarantineBank, ///< feed the escalation ladder pre-emptively
 };
 
+constexpr unsigned stateLimit(ActionKind) { return 3; }
+
 /** Printable action name (the RasAction trace-event label). */
 const char *actionName(ActionKind kind);
 
@@ -98,6 +103,17 @@ struct RecommendedAction
     unsigned bank = 0; ///< RetireRow / QuarantineBank target
     unsigned row = 0;  ///< RetireRow target
     uint64_t cycle = 0;
+
+    /** Checkpoint state (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("kind", self.kind...);
+        v("bank", self.bank...);
+        v("row", self.row...);
+        v("cycle", self.cycle...);
+    }
 };
 
 /** Tunable thresholds of the health-state machine and inference. */
@@ -211,12 +227,6 @@ class HealthMonitor : public obs::TraceSink
      */
     void merge(const HealthMonitor &other);
 
-    /** Exact text state for checkpoints (inverse of deserialize). */
-    std::string serializeState() const;
-
-    /** Replace state with @p text; malformed input panics. */
-    void deserializeState(const std::string &text);
-
     /**
      * Emit the artifact `ras` section members into an already-open
      * JSON object (rank/banks/topologies/actions).
@@ -230,6 +240,8 @@ class HealthMonitor : public obs::TraceSink
     void writeHeartbeat(obs::JsonWriter &w) const;
 
   private:
+    friend struct state::Access;
+
     /** Frequency-sketch slot (Misra-Gries heavy-hitter tracking). */
     struct Slot
     {
@@ -237,6 +249,15 @@ class HealthMonitor : public obs::TraceSink
         uint64_t count = 0;
         /** Diversity evidence: bitmask of companion coordinates. */
         uint64_t mask = 0;
+
+        template <class V, class... Self>
+        static void
+        fields(V &v, Self &...self)
+        {
+            v("key", self.key...);
+            v("count", self.count...);
+            v("mask", self.mask...);
+        }
     };
     static constexpr unsigned numSlots = 8;
 
@@ -250,6 +271,20 @@ class HealthMonitor : public obs::TraceSink
         Slot rows[numSlots];  ///< key = row, mask = cols seen (mod 64)
         Slot cols[numSlots];  ///< key = col, mask = rows seen (mod 64)
         Slot cells[numSlots]; ///< key = row << mtbColBits | col
+
+        template <class V, class... Self>
+        static void
+        fields(V &v, Self &...self)
+        {
+            v("state", self.state...);
+            v("stateSince", self.stateSince...);
+            v("transitions", self.transitions...);
+            v("ce", self.ce...);
+            v("ue", self.ue...);
+            v("rows", self.rows...);
+            v("cols", self.cols...);
+            v("cells", self.cells...);
+        }
     };
 
     struct RankHealth
@@ -258,6 +293,21 @@ class HealthMonitor : public obs::TraceSink
         HealthState state = HealthState::Healthy;
         uint64_t stateSince = 0;
         uint64_t transitions = 0;
+
+        template <class V, class... Self>
+        static void
+        fields(V &v, Self &...self)
+        {
+            v("state", self.state...);
+            v("stateSince", self.stateSince...);
+            v("transitions", self.transitions...);
+            v("ce", self.ce...);
+            v("ue", self.ue...);
+            v("alerts", self.alerts...);
+            v("retries", self.retries...);
+            v("scrubs", self.scrubs...);
+            v("exhausted", self.exhausted...);
+        }
     };
 
     HealthConfig cfg;
@@ -283,6 +333,31 @@ class HealthMonitor : public obs::TraceSink
     bool patrolRaised = false;         ///< RaisePatrol recommended yet
 
     static constexpr size_t maxLog = 256;
+
+    /** Checkpoint state; config and observer hookup are not state. */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("rank", self.rank...);
+        v("banks", self.banks...);
+        v("seen", self.seen...);
+        v("injects", self.injects...);
+        v("resolves", self.resolves...);
+        v("lastCycle", self.lastCycle...);
+        v("chipCounts", self.chipCounts...);
+        v("chipMasks", self.chipMasks...);
+        v("pinCounts", self.pinCounts...);
+        v("actionCounts", self.actionCounts...);
+        v("droppedLog", self.droppedLog...);
+        v("patrolRaised", self.patrolRaised...);
+        v("retiredKeys", self.retiredKeys...);
+        v("pending", self.pending...);
+        v("log", self.log...);
+    }
+
+    /** After a load: bank count and window width must match. */
+    std::string rebuild();
 
     /** Count @p key into a sketch, OR-ing @p maskBit into its slot. */
     static void sketch(Slot *slots, uint32_t key, uint64_t maskBit);

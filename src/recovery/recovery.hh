@@ -179,6 +179,26 @@ struct RecoveryStats
     uint64_t rankDegrades = 0;
     uint64_t patrolReads = 0;
     uint64_t patrolScrubs = 0;
+
+    /** Shard-merge terms for state::sumInto (common/state.hh). */
+    template <class V, class... Self>
+    static void
+    fields(V &v, Self &...self)
+    {
+        v("episodes", self.episodes...);
+        v("attempts", self.attempts...);
+        v("recovered", self.recovered...);
+        v("recoveredFirstTry", self.recoveredFirstTry...);
+        v("recoveredAfterRetries", self.recoveredAfterRetries...);
+        v("exhausted", self.exhausted...);
+        v("wrReplays", self.wrReplays...);
+        v("rdReissues", self.rdReissues...);
+        v("wrtResyncs", self.wrtResyncs...);
+        v("quarantines", self.quarantines...);
+        v("rankDegrades", self.rankDegrades...);
+        v("patrolReads", self.patrolReads...);
+        v("patrolScrubs", self.patrolScrubs...);
+    }
 };
 
 /**

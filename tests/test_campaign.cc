@@ -466,8 +466,8 @@ TEST(CampaignStatsState, RoundTripIsExact)
     ASSERT_GT(stats.trials, 0u);
 
     CampaignStats restored;
-    restored.deserializeState(stats.serializeState());
-    EXPECT_EQ(restored.serializeState(), stats.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(stats)).ok);
+    EXPECT_EQ(state::save(restored), state::save(stats));
     EXPECT_EQ(restored.trials, stats.trials);
     EXPECT_EQ(restored.detected, stats.detected);
     EXPECT_EQ(restored.byFirstDetector, stats.byFirstDetector);
@@ -506,7 +506,7 @@ TEST(CampaignExhaustive, TwoPinSweepMatchesMaterializedSweep)
     const CampaignStats exh =
         a.sweepKPinExhaustive(CommandPattern::Wr, 2, 2);
     const CampaignStats mat = b.sweepTwoPin(CommandPattern::Wr, 2);
-    EXPECT_EQ(exh.serializeState(), mat.serializeState());
+    EXPECT_EQ(state::save(exh), state::save(mat));
     EXPECT_GT(exh.trials, 0u);
 }
 

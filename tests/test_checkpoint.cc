@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "common/checkpoint.hh"
+#include "inject/montecarlo.hh"
+#include "obs/lineage.hh"
 
 namespace aiecc
 {
@@ -195,6 +197,48 @@ TEST(CampaignCheckpoint, RejectsWrongMagicAndTrailingBytes)
     EXPECT_FALSE(
         ckpt.deserialize(text.substr(0, text.size() - 1)).ok);
     ASSERT_TRUE(ckpt.deserialize(text).ok);
+}
+
+TEST(CampaignCheckpoint, RefusesV1ByName)
+{
+    // A v1 file is well framed, but its section payloads predate the
+    // state codec: it must be refused by version, never misread.
+    CampaignCheckpoint good;
+    good.setCampaignId("x");
+    std::string text = good.serialize();
+    text.replace(0, text.find('\n'), "aiecc-checkpoint v1");
+    CampaignCheckpoint ckpt;
+    const auto res = ckpt.deserialize(text);
+    ASSERT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("format v1 is not supported"),
+              std::string::npos)
+        << res.error;
+}
+
+TEST(CampaignCheckpoint, FixtureSectionsAreStateCodecForms)
+{
+    // Undo the corrupt fixture's one flipped byte: the file verifies
+    // and every section loads through the state codec.
+    std::FILE *f =
+        std::fopen(dataPath("checkpoint_corrupt.ckpt").c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string text;
+    char buf[512];
+    for (size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+        text.append(buf, n);
+    std::fclose(f);
+    text.replace(text.find("490 0 0 12"), 3, "480");
+    CampaignCheckpoint ckpt;
+    ASSERT_TRUE(ckpt.deserialize(text).ok);
+
+    MonteCarloCell cell;
+    ASSERT_TRUE(state::load(cell, ckpt.get("cell:6")).ok);
+    EXPECT_EQ(cell.trials, 480u);
+    obs::LineageLedger ledger;
+    const state::Status st = state::load(ledger, ckpt.get("lineage"));
+    ASSERT_TRUE(st.ok) << st.error;
+    EXPECT_EQ(ledger.size(), 1u);
+    EXPECT_EQ(ledger.siteName(0), "mc:QPC");
 }
 
 TEST(CampaignCheckpoint, RejectsMissingFile)

@@ -294,7 +294,7 @@ TEST(Cost, CheckpointStateRoundTripIsExact)
     ASSERT_TRUE(acct.audit().ok);
 
     CostAccountant restored(makeCostModel(mech));
-    restored.deserializeState(acct.serialize());
+    ASSERT_TRUE(state::load(restored, state::save(acct)).ok);
     EXPECT_EQ(restored.serialize(), acct.serialize());
     EXPECT_EQ(restored.digest(), acct.digest());
     EXPECT_TRUE(restored.audit().ok);
@@ -313,7 +313,7 @@ TEST(Cost, EmptyAccountantStateRoundTrips)
 {
     CostAccountant acct(aieccModel());
     CostAccountant restored(aieccModel());
-    restored.deserializeState(acct.serialize());
+    ASSERT_TRUE(state::load(restored, state::save(acct)).ok);
     EXPECT_EQ(restored.serialize(), acct.serialize());
     EXPECT_TRUE(restored.audit().ok);
 }

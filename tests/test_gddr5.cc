@@ -249,8 +249,8 @@ TEST(Gddr5Campaign, StatsStateRoundTripIsExact)
     ASSERT_GT(stats.trials, 0u);
 
     Gddr5Stats restored;
-    restored.deserializeState(stats.serializeState());
-    EXPECT_EQ(restored.serializeState(), stats.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(stats)).ok);
+    EXPECT_EQ(state::save(restored), state::save(stats));
     EXPECT_EQ(restored.trials, stats.trials);
     EXPECT_EQ(restored.detected, stats.detected);
     EXPECT_EQ(restored.sdc, stats.sdc);
@@ -296,7 +296,7 @@ TEST(Gddr5Campaign, CheckpointedMatchesSweepAndResumesIdentically)
                   [&](uint64_t, const Gddr5Trial &t) { got.add(t); },
                   [](uint64_t, uint64_t) {}),
               RunStatus::Completed);
-    EXPECT_EQ(got.serializeState(), want.serializeState());
+    EXPECT_EQ(state::save(got), state::save(want));
     EXPECT_EQ(ledger.digest(), refLedger.digest());
     EXPECT_EQ(camp.trialCount(), ref.trialCount());
 }

@@ -262,7 +262,7 @@ TEST(Heartbeat, JobsBitIdentityWithHeartbeatTicking)
                   RunStatus::Completed);
         hb.finalTick(nextShard, errors.size());
         EXPECT_GE(hb.records(), 2u);
-        return stats.serializeState();
+        return state::save(stats);
     };
 
     const std::string one = runAt(1, "aiecc_hb_jobs1.jsonl");

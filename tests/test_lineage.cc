@@ -351,9 +351,9 @@ TEST(LineageLedger, CheckpointStateRoundTripIsExact)
     // 13 left Unaccounted on purpose: in-flight state must survive.
 
     LineageLedger restored;
-    restored.deserializeState(ledger.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(ledger)).ok);
     EXPECT_EQ(restored.serialize(), ledger.serialize());
-    EXPECT_EQ(restored.serializeState(), ledger.serializeState());
+    EXPECT_EQ(state::save(restored), state::save(ledger));
     EXPECT_EQ(restored.digest(), ledger.digest());
     EXPECT_EQ(restored.size(), 3u);
     EXPECT_EQ(restored.unaccounted(), 1u);
@@ -374,7 +374,7 @@ TEST(LineageLedgerDeathTest, RestoredLedgerStillPanicsOnDuplicates)
     LineageLedger ledger;
     ledger.recordInjection(21, FaultKind::Data, "bit");
     LineageLedger restored;
-    restored.deserializeState(ledger.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(ledger)).ok);
     EXPECT_DEATH(restored.recordInjection(21, FaultKind::Data, "bit"),
                  "duplicate injection");
 }

@@ -6,7 +6,7 @@
  * composition, the process-wide totals, the AIECC_BUDGET_* resource
  * gate, and the allocation dimension riding ProfileRegistry —
  * ScopedTimer attribution, registry merge, and the checkpoint
- * serializeState round trip.
+ * state::save/state::load round trip.
  */
 
 #include <gtest/gtest.h>
@@ -364,7 +364,7 @@ TEST(ProfileAlloc, SerializeStateRoundTripsAllocCounters)
     ASSERT_GE(before.allocs, 1u);
 
     obs::ProfileRegistry restored;
-    restored.deserializeState(profile.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(profile)).ok);
     const obs::memprof::AllocStats *after =
         restored.findAlloc("rt.scope");
     ASSERT_NE(after, nullptr);
@@ -375,7 +375,7 @@ TEST(ProfileAlloc, SerializeStateRoundTripsAllocCounters)
     EXPECT_EQ(after->liveBytes, before.liveBytes);
     EXPECT_EQ(after->peakLiveBytes, before.peakLiveBytes);
     // And a second round trip is byte-stable.
-    EXPECT_EQ(restored.serializeState(), profile.serializeState());
+    EXPECT_EQ(state::save(restored), state::save(profile));
 }
 
 } // namespace

@@ -272,8 +272,8 @@ TEST(MonteCarlo, CellStateRoundTripIsExact)
     const MonteCarloCell cell =
         mc.runCell(DataErrorModel::Chip1, AddrErrorModel::Bit1, 300);
     MonteCarloCell restored;
-    restored.deserializeState(cell.serializeState());
-    EXPECT_EQ(restored.serializeState(), cell.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(cell)).ok);
+    EXPECT_EQ(state::save(restored), state::save(cell));
     EXPECT_EQ(restored.trials, cell.trials);
     for (unsigned o = 0; o < 8; ++o)
         EXPECT_EQ(restored.counts[o], cell.counts[o]) << o;
@@ -356,7 +356,7 @@ TEST(MonteCarloCheckpointed, SampledMatchesShardedAndLedger)
                                      plan, /*batchShards=*/2, nextShard,
                                      got, [](uint64_t, uint64_t) {}),
               RunStatus::Completed);
-    EXPECT_EQ(got.serializeState(), want.serializeState());
+    EXPECT_EQ(state::save(got), state::save(want));
     EXPECT_EQ(ledger.digest(), refLedger.digest());
 }
 
@@ -392,7 +392,7 @@ TEST(MonteCarloCheckpointed, InterruptAndResumeIsBitIdentical)
                   /*exhaustive=*/true, plan, 2, nextShard, got,
                   [](uint64_t, uint64_t) {}),
               RunStatus::Completed);
-    EXPECT_EQ(got.serializeState(), want.serializeState());
+    EXPECT_EQ(state::save(got), state::save(want));
 }
 
 } // namespace

@@ -647,8 +647,8 @@ TEST(StatsRegistry, CheckpointStateRoundTripIsExact)
         lat.sample(v);
 
     obs::StatsRegistry restored;
-    restored.deserializeState(reg.serializeState());
-    EXPECT_EQ(restored.serializeState(), reg.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(reg)).ok);
+    EXPECT_EQ(state::save(restored), state::save(reg));
     EXPECT_EQ(restored.counterValue("campaign.trials"), 42u);
     EXPECT_EQ(restored.counterValue("campaign.detected"), 40u);
     const obs::Histogram &rlat = restored.histogram("recovery.attempts");
@@ -662,7 +662,7 @@ TEST(StatsRegistry, CheckpointStateRoundTripIsExact)
     restored.counter("campaign.trials") += 1;
     reg.histogram("recovery.attempts").sample(2);
     restored.histogram("recovery.attempts").sample(2);
-    EXPECT_EQ(restored.serializeState(), reg.serializeState());
+    EXPECT_EQ(state::save(restored), state::save(reg));
 
     // Descriptions are not part of checkpoint state; live
     // re-registration adopts them on first offer.
@@ -676,7 +676,7 @@ TEST(StatsRegistry, EmptyStateRoundTrips)
 {
     obs::StatsRegistry reg;
     obs::StatsRegistry restored;
-    restored.deserializeState(reg.serializeState());
-    EXPECT_EQ(restored.serializeState(), reg.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(reg)).ok);
+    EXPECT_EQ(state::save(restored), state::save(reg));
     EXPECT_EQ(restored.size(), 0u);
 }

@@ -322,7 +322,7 @@ TEST(HealthMonitor, MergeFoldIsDeterministic)
         ras::HealthMonitor merged;
         for (const ras::HealthMonitor &shard : shards)
             merged.merge(shard);
-        return merged.serializeState();
+        return state::save(merged);
     };
     EXPECT_EQ(build(), build());
 }
@@ -338,15 +338,15 @@ TEST(HealthMonitor, SerializeRoundTripIsExact)
         mon.record(alert(3000 + i));
 
     ras::HealthMonitor restored;
-    restored.deserializeState(mon.serializeState());
-    EXPECT_EQ(restored.serializeState(), mon.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(mon)).ok);
+    EXPECT_EQ(state::save(restored), state::save(mon));
     EXPECT_EQ(restored.bankState(3), mon.bankState(3));
     EXPECT_EQ(restored.bankTopology(3).row, 44u);
     EXPECT_EQ(restored.linkTopology().kind, ras::Topology::Link);
     // Both keep evolving identically — resume equals never-stopped.
     mon.record(dataCe(3, 44, 9, 5000));
     restored.record(dataCe(3, 44, 9, 5000));
-    EXPECT_EQ(restored.serializeState(), mon.serializeState());
+    EXPECT_EQ(state::save(restored), state::save(mon));
 }
 
 TEST(HealthMonitor, JsonCarriesSymptomTotals)

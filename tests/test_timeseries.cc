@@ -94,7 +94,7 @@ TEST(SlidingWindow, MergeMatchesSingleStream)
         (i % 2 ? a : b).record(cycle);
     }
     a.merge(b);
-    EXPECT_EQ(a.serializeState(), all.serializeState());
+    EXPECT_EQ(state::save(a), state::save(all));
     EXPECT_EQ(a.windowTotal(), all.windowTotal());
     EXPECT_EQ(a.lifetimeTotal(), 200u);
 }
@@ -112,7 +112,7 @@ TEST(SlidingWindow, MergeIsOrderIndependent)
     }
     a1.merge(b1); // a then b
     b2.merge(a2); // b then a
-    EXPECT_EQ(a1.serializeState(), b2.serializeState());
+    EXPECT_EQ(state::save(a1), state::save(b2));
 }
 
 TEST(SlidingWindow, SerializeRoundTripIsExact)
@@ -121,15 +121,15 @@ TEST(SlidingWindow, SerializeRoundTripIsExact)
     for (uint64_t i = 0; i < 300; ++i)
         w.record(i * 1777, 1 + i % 3);
     obs::SlidingWindow restored(1 << 14);
-    restored.deserializeState(w.serializeState());
-    EXPECT_EQ(restored.serializeState(), w.serializeState());
+    ASSERT_TRUE(state::load(restored, state::save(w)).ok);
+    EXPECT_EQ(state::save(restored), state::save(w));
     EXPECT_EQ(restored.windowTotal(), w.windowTotal());
     EXPECT_EQ(restored.lifetimeTotal(), w.lifetimeTotal());
     EXPECT_EQ(restored.coveredCycles(), w.coveredCycles());
     // The restored window keeps evolving identically.
     w.record(300 * 1777);
     restored.record(300 * 1777);
-    EXPECT_EQ(restored.serializeState(), w.serializeState());
+    EXPECT_EQ(state::save(restored), state::save(w));
 }
 
 TEST(SlidingWindow, ResetClearsEverything)
@@ -141,7 +141,7 @@ TEST(SlidingWindow, ResetClearsEverything)
     EXPECT_EQ(w.lifetimeTotal(), 0u);
     EXPECT_EQ(w.coveredCycles(), 0u);
     obs::SlidingWindow fresh(100);
-    EXPECT_EQ(w.serializeState(), fresh.serializeState());
+    EXPECT_EQ(state::save(w), state::save(fresh));
 }
 
 } // namespace
